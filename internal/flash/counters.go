@@ -145,10 +145,6 @@ func (c *Counters) TotalOp(op Op) int64 {
 	return total
 }
 
-// TotalPurpose returns the number of operations of kind op issued for p.
-// It is a convenience alias of Count kept for readability at call sites.
-func (c *Counters) TotalPurpose(op Op, p Purpose) int64 { return c.Count(op, p) }
-
 // Elapsed returns the total simulated device time consumed.
 func (c *Counters) Elapsed() time.Duration { return c.elapsed }
 

@@ -19,6 +19,9 @@ type blockState struct {
 	eraseSeq uint64
 	// spares holds the spare area contents of programmed pages.
 	spares []SpareArea
+	// payloads holds the opaque payloads of programmed pages, indexed like
+	// spares; allocated on the first payload the block receives.
+	payloads []any
 	// readCount counts full-page reads since the last erase: the
 	// read-disturb accumulation. It is physical charge state, so it survives
 	// power failures and is reset only by an erase.
@@ -177,18 +180,18 @@ func (d *Device) checkPage(block BlockID, offset int) error {
 	return nil
 }
 
-// WritePage programs the page at ppn together with its spare area. It
-// enforces the NAND constraints: the page must be free and, when strict
-// sequential writes are enabled, must be the block's next free page.
-// The returned sequence number is the device-wide write timestamp recorded in
-// the spare area.
-func (d *Device) WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error) {
-	return d.writePage(ppn, spare, p, 0)
+// WritePage programs the page at ppn with its spare area and payload (an
+// opaque value ReadPage returns; nil for none), enforcing the NAND constraints:
+// the page must be free and, when strict sequential writes are enabled, must
+// be the block's next free page. The returned sequence number is the
+// device-wide write timestamp recorded in the spare area.
+func (d *Device) WritePage(ppn PPN, spare SpareArea, payload any, p Purpose) (uint64, error) {
+	return d.writePage(ppn, spare, payload, p, 0)
 }
 
 // writePage is WritePage with a caller-supplied start floor on the virtual
 // timeline (see record); partitions pass their own arrival clock.
-func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Duration) (uint64, error) {
+func (d *Device) writePage(ppn PPN, spare SpareArea, payload any, p Purpose, floor time.Duration) (uint64, error) {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return 0, err
@@ -227,6 +230,12 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 	spare.EraseCount = uint32(blk.eraseCount)
 	spare.EraseSeq = blk.eraseSeq
 	blk.spares[addr.Offset] = spare
+	if payload != nil {
+		if blk.payloads == nil {
+			blk.payloads = make([]any, d.cfg.PagesPerBlock)
+		}
+		blk.payloads[addr.Offset] = payload
+	}
 	if addr.Offset >= blk.writePointer {
 		blk.writePointer = addr.Offset + 1
 	}
@@ -234,14 +243,50 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 	return seq, nil
 }
 
-// ReadPage reads the page at ppn. The simulator stores no payload, so the
-// call only validates that the page has been programmed and accounts the IO.
-func (d *Device) ReadPage(ppn PPN, p Purpose) error {
+// ReadPage reads the programmed page at ppn, accounting the IO, and returns
+// the payload it was written with (nil if none or discarded).
+func (d *Device) ReadPage(ppn PPN, p Purpose) (any, error) {
 	return d.readPage(ppn, p, 0)
 }
 
 // readPage is ReadPage with a caller-supplied start floor.
-func (d *Device) readPage(ppn PPN, p Purpose, floor time.Duration) error {
+func (d *Device) readPage(ppn PPN, p Purpose, floor time.Duration) (any, error) {
+	addr := Decompose(ppn, d.cfg.PagesPerBlock)
+	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
+		return nil, err
+	}
+	die := d.die(addr.Block)
+	die.mu.Lock()
+	defer die.mu.Unlock()
+	blk := &d.blocks[addr.Block]
+	if addr.Offset >= blk.writePointer {
+		return nil, fmt.Errorf("%w: %v", ErrPageNotWritten, addr)
+	}
+	if blk.bad != nil && blk.bad[addr.Offset] {
+		// A page whose program failed holds nothing readable.
+		return nil, fmt.Errorf("%w: %v: program failed", ErrPageNotWritten, addr)
+	}
+	blk.readCount++
+	d.record(die, OpPageRead, p, d.cfg.Latency.PageRead, floor)
+	if d.faults != nil {
+		n := d.opSeq[OpPageRead].Add(1)
+		if limit := d.faults.ReadDisturbLimit; limit > 0 && blk.readCount > limit {
+			return nil, fmt.Errorf("%w: %v after %d reads since erase", ErrReadDecayed, addr, blk.readCount)
+		}
+		if d.faults.scheduled(OpPageRead, n) {
+			return nil, fmt.Errorf("%w: %v (scheduled)", ErrReadDecayed, addr)
+		}
+	}
+	if blk.payloads == nil {
+		return nil, nil
+	}
+	return blk.payloads[addr.Offset], nil
+}
+
+// DiscardPayload drops the payload of the page at ppn once its owner no
+// longer needs it, so dead content is not held until the block's erase. It is
+// bookkeeping, not an IO: no device time, and the page stays programmed.
+func (d *Device) DiscardPayload(ppn PPN) error {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return err
@@ -249,24 +294,8 @@ func (d *Device) readPage(ppn PPN, p Purpose, floor time.Duration) error {
 	die := d.die(addr.Block)
 	die.mu.Lock()
 	defer die.mu.Unlock()
-	blk := &d.blocks[addr.Block]
-	if addr.Offset >= blk.writePointer {
-		return fmt.Errorf("%w: %v", ErrPageNotWritten, addr)
-	}
-	if blk.bad != nil && blk.bad[addr.Offset] {
-		// A page whose program failed holds nothing readable.
-		return fmt.Errorf("%w: %v: program failed", ErrPageNotWritten, addr)
-	}
-	blk.readCount++
-	d.record(die, OpPageRead, p, d.cfg.Latency.PageRead, floor)
-	if d.faults != nil {
-		n := d.opSeq[OpPageRead].Add(1)
-		if limit := d.faults.ReadDisturbLimit; limit > 0 && blk.readCount > limit {
-			return fmt.Errorf("%w: %v after %d reads since erase", ErrReadDecayed, addr, blk.readCount)
-		}
-		if d.faults.scheduled(OpPageRead, n) {
-			return fmt.Errorf("%w: %v (scheduled)", ErrReadDecayed, addr)
-		}
+	if blk := &d.blocks[addr.Block]; blk.payloads != nil {
+		blk.payloads[addr.Offset] = nil
 	}
 	return nil
 }
@@ -360,6 +389,7 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration) error
 	blk.writePointer = 0
 	blk.readCount = 0
 	blk.bad = nil
+	blk.payloads = nil
 	for i := range blk.spares {
 		blk.spares[i] = SpareArea{}
 	}

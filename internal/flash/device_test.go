@@ -84,14 +84,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	d := MustNewDevice(testConfig(8))
 	cfg := d.Config()
 	ppn := PPNOf(3, 0, cfg.PagesPerBlock)
-	seq, err := d.WritePage(ppn, SpareArea{Logical: 42, BlockType: BlockUser}, PurposeUserWrite)
+	seq, err := d.WritePage(ppn, SpareArea{Logical: 42, BlockType: BlockUser}, nil, PurposeUserWrite)
 	if err != nil {
 		t.Fatalf("WritePage: %v", err)
 	}
 	if seq == 0 {
 		t.Error("write sequence should start at 1")
 	}
-	if err := d.ReadPage(ppn, PurposeUserRead); err != nil {
+	if _, err := d.ReadPage(ppn, PurposeUserRead); err != nil {
 		t.Fatalf("ReadPage: %v", err)
 	}
 	spare, ok, err := d.ReadSpare(ppn, PurposeRecovery)
@@ -105,7 +105,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestReadUnwrittenPageFails(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
-	if err := d.ReadPage(0, PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
+	if _, err := d.ReadPage(0, PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
 		t.Errorf("ReadPage of free page: err = %v, want ErrPageNotWritten", err)
 	}
 	_, ok, err := d.ReadSpare(0, PurposeRecovery)
@@ -119,10 +119,10 @@ func TestReadUnwrittenPageFails(t *testing.T) {
 
 func TestRewriteWithoutEraseFails(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
-	if _, err := d.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(0, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPageNotFree) {
+	if _, err := d.WritePage(0, SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrPageNotFree) {
 		t.Errorf("rewrite err = %v, want ErrPageNotFree", err)
 	}
 }
@@ -131,12 +131,12 @@ func TestStrictSequentialWrites(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
 	cfg := d.Config()
 	// Skipping offset 0 must fail.
-	if _, err := d.WritePage(PPNOf(1, 5, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrNonSequentialWrite) {
+	if _, err := d.WritePage(PPNOf(1, 5, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrNonSequentialWrite) {
 		t.Errorf("non-sequential write err = %v, want ErrNonSequentialWrite", err)
 	}
 	// In-order writes succeed.
 	for off := 0; off < 3; off++ {
-		if _, err := d.WritePage(PPNOf(1, off, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
+		if _, err := d.WritePage(PPNOf(1, off, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); err != nil {
 			t.Fatalf("sequential write %d: %v", off, err)
 		}
 	}
@@ -150,11 +150,11 @@ func TestNonStrictAllowsGaps(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.StrictSequentialWrites = false
 	d := MustNewDevice(cfg)
-	if _, err := d.WritePage(PPNOf(1, 5, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(1, 5, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("gapped write with strict mode off: %v", err)
 	}
 	// Writing below the advanced write pointer is still forbidden.
-	if _, err := d.WritePage(PPNOf(1, 2, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPageNotFree) {
+	if _, err := d.WritePage(PPNOf(1, 2, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrPageNotFree) {
 		t.Errorf("write below pointer err = %v, want ErrPageNotFree", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestEraseFreesPages(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
 	cfg := d.Config()
 	for off := 0; off < cfg.PagesPerBlock; off++ {
-		if _, err := d.WritePage(PPNOf(2, off, cfg.PagesPerBlock), SpareArea{Logical: LPN(off)}, PurposeUserWrite); err != nil {
+		if _, err := d.WritePage(PPNOf(2, off, cfg.PagesPerBlock), SpareArea{Logical: LPN(off)}, nil, PurposeUserWrite); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestEraseFreesPages(t *testing.T) {
 	if wp != 0 {
 		t.Errorf("write pointer after erase = %d, want 0", wp)
 	}
-	if err := d.ReadPage(PPNOf(2, 0, cfg.PagesPerBlock), PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
+	if _, err := d.ReadPage(PPNOf(2, 0, cfg.PagesPerBlock), PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
 		t.Errorf("read after erase err = %v, want ErrPageNotWritten", err)
 	}
 	ec, _ := d.EraseCount(2)
@@ -185,7 +185,7 @@ func TestEraseFreesPages(t *testing.T) {
 		t.Errorf("global erase seq = %d, want 1", d.GlobalEraseSeq())
 	}
 	// The block is writable again.
-	if _, err := d.WritePage(PPNOf(2, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(2, 0, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Errorf("write after erase: %v", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestSpareCarriesEraseProvenance(t *testing.T) {
 	if err := d.EraseBlock(1, PurposeGCErase); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(PPNOf(1, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(1, 0, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	spare, ok, err := d.ReadSpare(PPNOf(1, 0, cfg.PagesPerBlock), PurposeRecovery)
@@ -230,10 +230,10 @@ func TestOutOfRangeAddresses(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
 	cfg := d.Config()
 	tooBig := PPN(int64(cfg.Blocks) * int64(cfg.PagesPerBlock))
-	if _, err := d.WritePage(tooBig, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrOutOfRange) {
+	if _, err := d.WritePage(tooBig, SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("write out of range err = %v", err)
 	}
-	if err := d.ReadPage(PPN(-1), PurposeUserRead); !errors.Is(err, ErrOutOfRange) {
+	if _, err := d.ReadPage(PPN(-1), PurposeUserRead); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("read out of range err = %v", err)
 	}
 	if err := d.EraseBlock(BlockID(cfg.Blocks), PurposeGCErase); !errors.Is(err, ErrOutOfRange) {
@@ -243,17 +243,17 @@ func TestOutOfRangeAddresses(t *testing.T) {
 
 func TestPowerFailBlocksOperations(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
-	if _, err := d.WritePage(0, SpareArea{Logical: 7}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(0, SpareArea{Logical: 7}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	d.PowerFail()
 	if d.Powered() {
 		t.Error("device reports powered after PowerFail")
 	}
-	if _, err := d.WritePage(1, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
+	if _, err := d.WritePage(1, SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
 		t.Errorf("write while off err = %v, want ErrPowerFailed", err)
 	}
-	if err := d.ReadPage(0, PurposeUserRead); !errors.Is(err, ErrPowerFailed) {
+	if _, err := d.ReadPage(0, PurposeUserRead); !errors.Is(err, ErrPowerFailed) {
 		t.Errorf("read while off err = %v, want ErrPowerFailed", err)
 	}
 	d.PowerOn()
@@ -269,13 +269,13 @@ func TestPowerFailBlocksOperations(t *testing.T) {
 
 func TestCountersAttributePurposes(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
-	if _, err := d.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(1, SpareArea{}, PurposeGCMigration); err != nil {
+	if _, err := d.WritePage(1, SpareArea{}, nil, PurposeGCMigration); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(0, PurposeTranslation); err != nil {
+	if _, err := d.ReadPage(0, PurposeTranslation); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := d.ReadSpare(0, PurposeRecovery); err != nil {
@@ -307,11 +307,11 @@ func TestCountersAttributePurposes(t *testing.T) {
 
 func TestCountersSubAndReset(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
-	if _, err := d.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Counters()
-	if _, err := d.WritePage(1, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(1, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	delta := d.Counters().Sub(before)
@@ -328,10 +328,10 @@ func TestCountersSubAndReset(t *testing.T) {
 func TestSimulatedTimeFollowsLatencyModel(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
 	lat := d.Config().Latency
-	if _, err := d.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(0, PurposeUserRead); err != nil {
+	if _, err := d.ReadPage(0, PurposeUserRead); err != nil {
 		t.Fatal(err)
 	}
 	want := lat.PageWrite + lat.PageRead

@@ -13,11 +13,13 @@
 //   - page reads, page writes, spare-area reads and block erases have
 //     asymmetric costs.
 //
-// The device does not store user payloads (the FTL algorithms under study
-// never inspect payload bytes); it stores per-page state and spare-area
-// metadata, and it accounts every internal IO by purpose so that the
-// simulation harness can compute the write-amplification breakdowns reported
-// in the paper's evaluation section.
+// The device does not store user data bytes (the FTL algorithms under study
+// never inspect them). It stores per-page state, spare-area metadata and an
+// optional opaque payload per page, which flash-resident metadata structures
+// use for the content of their pages: WritePage stores it, ReadPage returns
+// it, and an erase (or DiscardPayload) drops it. The device accounts every
+// internal IO by purpose so that the simulation harness can compute the
+// write-amplification breakdowns reported in the paper's evaluation section.
 //
 // # Channel/die topology
 //

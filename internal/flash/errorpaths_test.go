@@ -17,10 +17,10 @@ func TestDeviceErrorPaths(t *testing.T) {
 		{
 			name: "program after program",
 			op: func(d *Device, cfg Config) error {
-				if _, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
+				if _, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); err != nil {
 					t.Fatal(err)
 				}
-				_, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite)
+				_, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite)
 				return err
 			},
 			want: ErrPageNotFree,
@@ -28,7 +28,7 @@ func TestDeviceErrorPaths(t *testing.T) {
 		{
 			name: "non-sequential write",
 			op: func(d *Device, cfg Config) error {
-				_, err := d.WritePage(PPNOf(0, 3, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite)
+				_, err := d.WritePage(PPNOf(0, 3, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite)
 				return err
 			},
 			want: ErrNonSequentialWrite,
@@ -36,24 +36,26 @@ func TestDeviceErrorPaths(t *testing.T) {
 		{
 			name: "read unwritten page",
 			op: func(d *Device, cfg Config) error {
-				return d.ReadPage(PPNOf(0, 0, cfg.PagesPerBlock), PurposeUserRead)
+				_, err := d.ReadPage(PPNOf(0, 0, cfg.PagesPerBlock), PurposeUserRead)
+				return err
 			},
 			want: ErrPageNotWritten,
 		},
 		{
 			name: "read past write pointer",
 			op: func(d *Device, cfg Config) error {
-				if _, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
+				if _, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite); err != nil {
 					t.Fatal(err)
 				}
-				return d.ReadPage(PPNOf(0, 1, cfg.PagesPerBlock), PurposeUserRead)
+				_, err := d.ReadPage(PPNOf(0, 1, cfg.PagesPerBlock), PurposeUserRead)
+				return err
 			},
 			want: ErrPageNotWritten,
 		},
 		{
 			name: "write out of range",
 			op: func(d *Device, cfg Config) error {
-				_, err := d.WritePage(PPN(int64(cfg.Blocks)*int64(cfg.PagesPerBlock)), SpareArea{}, PurposeUserWrite)
+				_, err := d.WritePage(PPN(int64(cfg.Blocks)*int64(cfg.PagesPerBlock)), SpareArea{}, nil, PurposeUserWrite)
 				return err
 			},
 			want: ErrOutOfRange,
@@ -69,7 +71,7 @@ func TestDeviceErrorPaths(t *testing.T) {
 			name: "write while powered off",
 			op: func(d *Device, cfg Config) error {
 				d.PowerFail()
-				_, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite)
+				_, err := d.WritePage(PPNOf(0, 0, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite)
 				return err
 			},
 			want: ErrPowerFailed,
@@ -78,7 +80,8 @@ func TestDeviceErrorPaths(t *testing.T) {
 			name: "read while powered off",
 			op: func(d *Device, cfg Config) error {
 				d.PowerFail()
-				return d.ReadPage(PPNOf(0, 0, cfg.PagesPerBlock), PurposeUserRead)
+				_, err := d.ReadPage(PPNOf(0, 0, cfg.PagesPerBlock), PurposeUserRead)
+				return err
 			},
 			want: ErrPowerFailed,
 		},

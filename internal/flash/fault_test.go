@@ -45,10 +45,10 @@ func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpPageWrite, AtCount: 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 7}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 7}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("first program: %v", err)
 	}
-	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{Logical: 8}, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{Logical: 8}, nil, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("second program err = %v, want ErrProgramFailed", err)
 	}
 	// The failed page is consumed: the write pointer moved past it.
@@ -57,7 +57,7 @@ func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 	}
 	// It holds nothing readable, and its spare reports unprogrammed (not an
 	// error) so recovery scans skip it instead of trusting garbage.
-	if err := d.ReadPage(PPNOf(0, 1, ppb), PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
+	if _, err := d.ReadPage(PPNOf(0, 1, ppb), PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
 		t.Errorf("read of failed page err = %v, want ErrPageNotWritten", err)
 	}
 	if _, ok, err := d.ReadSpare(PPNOf(0, 1, ppb), PurposeRecovery); err != nil || ok {
@@ -67,20 +67,20 @@ func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 	if bad, _ := d.BadBlock(0); bad {
 		t.Error("block reported bad after a single failed program")
 	}
-	if _, err := d.WritePage(PPNOf(0, 2, ppb), SpareArea{Logical: 8}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(0, 2, ppb), SpareArea{Logical: 8}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("retry on next page: %v", err)
 	}
 	// An erase wipes the bad-page marks with the rest of the block.
 	if err := d.EraseBlock(0, PurposeGCErase); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrNonSequentialWrite) {
+	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrNonSequentialWrite) {
 		t.Errorf("post-erase write pointer not reset: %v", err)
 	}
-	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 9}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 9}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("program after erase: %v", err)
 	}
-	if err := d.ReadPage(PPNOf(0, 0, ppb), PurposeUserRead); err != nil {
+	if _, err := d.ReadPage(PPNOf(0, 0, ppb), PurposeUserRead); err != nil {
 		t.Errorf("read after erase: %v", err)
 	}
 }
@@ -92,7 +92,7 @@ func TestScheduledEraseFaultRetiresBlock(t *testing.T) {
 	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpErase, AtCount: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(PPNOf(1, 0, ppb), SpareArea{Logical: 3}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(1, 0, ppb), SpareArea{Logical: 3}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.EraseBlock(1, PurposeGCErase); !errors.Is(err, ErrEraseFailed) {
@@ -103,7 +103,7 @@ func TestScheduledEraseFaultRetiresBlock(t *testing.T) {
 	}
 	// Retirement is permanent: programs and erases keep failing, and no
 	// erase happened — the contents and erase count are untouched.
-	if _, err := d.WritePage(PPNOf(1, 1, ppb), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.WritePage(PPNOf(1, 1, ppb), SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
 		t.Errorf("program on retired block err = %v, want ErrProgramFailed", err)
 	}
 	if err := d.EraseBlock(1, PurposeGCErase); !errors.Is(err, ErrEraseFailed) {
@@ -137,7 +137,7 @@ func TestWornOutEraseRetires(t *testing.T) {
 	}
 	// The last successful erase still stands: a free worn-out block remains
 	// writable for one final cycle.
-	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 1}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 1}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("program in final cycle: %v", err)
 	}
 	if bad, _ := d.BadBlock(0); bad {
@@ -149,7 +149,7 @@ func TestWornOutEraseRetires(t *testing.T) {
 	if bad, _ := d.BadBlock(0); !bad {
 		t.Error("worn-out erase attempt did not retire the block")
 	}
-	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
 		t.Errorf("program on worn-out block err = %v, want ErrProgramFailed", err)
 	}
 }
@@ -162,11 +162,11 @@ func TestReadDisturbDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	ppn := PPNOf(0, 0, ppb)
-	if _, err := d.WritePage(ppn, SpareArea{Logical: 5}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(ppn, SpareArea{Logical: 5}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := d.ReadPage(ppn, PurposeUserRead); err != nil {
+		if _, err := d.ReadPage(ppn, PurposeUserRead); err != nil {
 			t.Fatalf("read %d within limit: %v", i+1, err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestReadDisturbDecay(t *testing.T) {
 	if rc, _ := d.ReadCount(0); rc != 2 {
 		t.Errorf("read count = %d after 2 page reads and 8 spare reads, want 2", rc)
 	}
-	if err := d.ReadPage(ppn, PurposeUserRead); !errors.Is(err, ErrReadDecayed) {
+	if _, err := d.ReadPage(ppn, PurposeUserRead); !errors.Is(err, ErrReadDecayed) {
 		t.Fatalf("read past limit err = %v, want ErrReadDecayed", err)
 	}
 	// The spare stays readable even after the payload decayed: the FTL can
@@ -194,10 +194,10 @@ func TestReadDisturbDecay(t *testing.T) {
 	if rc, _ := d.ReadCount(0); rc != 0 {
 		t.Errorf("read count = %d after erase, want 0", rc)
 	}
-	if _, err := d.WritePage(ppn, SpareArea{Logical: 5}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(ppn, SpareArea{Logical: 5}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(ppn, PurposeUserRead); err != nil {
+	if _, err := d.ReadPage(ppn, PurposeUserRead); err != nil {
 		t.Errorf("read after erase: %v", err)
 	}
 }
@@ -215,7 +215,7 @@ func faultRun(t *testing.T, seed int64, programRate, eraseRate float64) (program
 	programs, erases = make(map[int]bool), make(map[int]bool)
 	for b := 0; b < cfg.Blocks; b++ {
 		for o := 0; o < cfg.PagesPerBlock; o++ {
-			_, err := d.WritePage(PPNOf(BlockID(b), o, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite)
+			_, err := d.WritePage(PPNOf(BlockID(b), o, cfg.PagesPerBlock), SpareArea{}, nil, PurposeUserWrite)
 			switch {
 			case errors.Is(err, ErrProgramFailed):
 				programs[b*cfg.PagesPerBlock+o] = true
@@ -290,20 +290,20 @@ func TestScheduleCountsOnlyWhilePlanInstalled(t *testing.T) {
 	d := MustNewDevice(cfg)
 	ppb := cfg.PagesPerBlock
 	// Without a plan installed, operations do not advance the counts.
-	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpPageWrite, AtCount: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
+	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
 		t.Fatalf("first counted program err = %v, want ErrProgramFailed", err)
 	}
 	// A zero plan clears fault injection entirely.
 	if err := d.SetFaultPlan(FaultPlan{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WritePage(PPNOf(0, 2, ppb), SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := d.WritePage(PPNOf(0, 2, ppb), SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Errorf("program after clearing the plan: %v", err)
 	}
 }

@@ -67,8 +67,11 @@ type Plane interface {
 	// Config describes the plane's geometry: for a partition, Blocks is the
 	// partition's block count and addresses are partition-relative.
 	Config() Config
-	WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error)
-	ReadPage(ppn PPN, p Purpose) error
+	WritePage(ppn PPN, spare SpareArea, payload any, p Purpose) (uint64, error)
+	ReadPage(ppn PPN, p Purpose) (any, error)
+	// DiscardPayload drops a page's payload once its owner no longer needs
+	// it. It is bookkeeping, not an IO.
+	DiscardPayload(ppn PPN) error
 	ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error)
 	EraseBlock(block BlockID, p Purpose) error
 	// NoteTrim records a host trim of the page at ppn in the invalidation
@@ -222,19 +225,27 @@ func (p *Partition) ppnOffset() PPN {
 }
 
 // WritePage programs the partition-relative page ppn on the parent device.
-func (p *Partition) WritePage(ppn PPN, spare SpareArea, pu Purpose) (uint64, error) {
+func (p *Partition) WritePage(ppn PPN, spare SpareArea, payload any, pu Purpose) (uint64, error) {
 	if err := p.checkPPN(ppn); err != nil {
 		return 0, err
 	}
-	return p.dev.writePage(ppn+p.ppnOffset(), spare, pu, p.floor())
+	return p.dev.writePage(ppn+p.ppnOffset(), spare, payload, pu, p.floor())
 }
 
 // ReadPage reads the partition-relative page ppn.
-func (p *Partition) ReadPage(ppn PPN, pu Purpose) error {
+func (p *Partition) ReadPage(ppn PPN, pu Purpose) (any, error) {
+	if err := p.checkPPN(ppn); err != nil {
+		return nil, err
+	}
+	return p.dev.readPage(ppn+p.ppnOffset(), pu, p.floor())
+}
+
+// DiscardPayload drops the payload of the partition-relative page ppn.
+func (p *Partition) DiscardPayload(ppn PPN) error {
 	if err := p.checkPPN(ppn); err != nil {
 		return err
 	}
-	return p.dev.readPage(ppn+p.ppnOffset(), pu, p.floor())
+	return p.dev.DiscardPayload(ppn + p.ppnOffset())
 }
 
 // ReadSpare reads the spare area of the partition-relative page ppn.

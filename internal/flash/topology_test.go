@@ -70,7 +70,7 @@ func TestParallelSimulatedTime(t *testing.T) {
 	for die := 0; die < cfg.Dies(); die++ {
 		lo, _ := cfg.DieBlockRange(die)
 		ppn := PPNOf(lo, 0, cfg.PagesPerBlock)
-		if _, err := dev.WritePage(ppn, SpareArea{}, PurposeUserWrite); err != nil {
+		if _, err := dev.WritePage(ppn, SpareArea{}, nil, PurposeUserWrite); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestDeviceConcurrentDies(t *testing.T) {
 			for b := lo; b < hi; b++ {
 				for o := 0; o < cfg.PagesPerBlock; o++ {
 					ppn := PPNOf(b, o, cfg.PagesPerBlock)
-					if _, err := dev.WritePage(ppn, SpareArea{Logical: LPN(ppn)}, PurposeUserWrite); err != nil {
+					if _, err := dev.WritePage(ppn, SpareArea{Logical: LPN(ppn)}, nil, PurposeUserWrite); err != nil {
 						t.Error(err)
 						return
 					}
@@ -147,7 +147,7 @@ func TestPartitionTranslation(t *testing.T) {
 		t.Fatalf("partition has %d blocks, want 16", got)
 	}
 	// Page 0 of the partition is page 32*8 of the device.
-	if _, err := part.WritePage(0, SpareArea{Logical: 7}, PurposeUserWrite); err != nil {
+	if _, err := part.WritePage(0, SpareArea{Logical: 7}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	spare, written, err := dev.ReadSpare(PPNOf(32, 0, cfg.PagesPerBlock), PurposeUserRead)
@@ -155,11 +155,11 @@ func TestPartitionTranslation(t *testing.T) {
 		t.Fatalf("device spare = %+v written=%v err=%v, want logical 7", spare, written, err)
 	}
 	// Partition-relative reads see the same page.
-	if err := part.ReadPage(0, PurposeUserRead); err != nil {
+	if _, err := part.ReadPage(0, PurposeUserRead); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-range partition accesses fail before touching neighbors.
-	if err := part.ReadPage(PPN(16*cfg.PagesPerBlock), PurposeUserRead); !errors.Is(err, ErrOutOfRange) {
+	if _, err := part.ReadPage(PPN(16*cfg.PagesPerBlock), PurposeUserRead); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range read error = %v, want ErrOutOfRange", err)
 	}
 	if err := part.EraseBlock(16, PurposeGCErase); !errors.Is(err, ErrOutOfRange) {
@@ -204,10 +204,10 @@ func TestPartitionPowerDomainsIndependent(t *testing.T) {
 	if !b.Powered() || !dev.Powered() {
 		t.Fatal("failing partition a took down partition b or the device")
 	}
-	if _, err := a.WritePage(0, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
+	if _, err := a.WritePage(0, SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
 		t.Fatalf("write to failed partition err = %v, want ErrPowerFailed", err)
 	}
-	if _, err := b.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := b.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("write to live partition failed: %v", err)
 	}
 
@@ -225,7 +225,7 @@ func TestPartitionPowerDomainsIndependent(t *testing.T) {
 	if !a.Powered() {
 		t.Fatal("partition a not powered after its PowerOn")
 	}
-	if _, err := a.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := a.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatalf("write after recovery failed: %v", err)
 	}
 
@@ -234,7 +234,7 @@ func TestPartitionPowerDomainsIndependent(t *testing.T) {
 	if a.Powered() || b.Powered() {
 		t.Fatal("partitions report powered while the device rail is down")
 	}
-	if _, err := b.WritePage(1, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
+	if _, err := b.WritePage(1, SpareArea{}, nil, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
 		t.Fatalf("write during device-wide failure err = %v, want ErrPowerFailed", err)
 	}
 	a.PowerFail()
@@ -266,11 +266,11 @@ func TestPartitionScopedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := a.WritePage(PPN(i), SpareArea{}, PurposeUserWrite); err != nil {
+		if _, err := a.WritePage(PPN(i), SpareArea{}, nil, PurposeUserWrite); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.WritePage(0, SpareArea{}, PurposeUserWrite); err != nil {
+	if _, err := b.WritePage(0, SpareArea{}, nil, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	ac := a.Counters()

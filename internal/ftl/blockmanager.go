@@ -322,9 +322,10 @@ func (bm *blockManager) takeFreeBlock(g Group) (flash.BlockID, error) {
 // AllocatePage programs the next free page of the group's cold frontier
 // (allocating a new active block from the free pool when needed) and returns
 // its address. The page is counted as valid in the BVC. The caller supplies
-// the spare area; the block type of the first page is stamped automatically.
-func (bm *blockManager) AllocatePage(g Group, spare flash.SpareArea, p flash.Purpose) (flash.PPN, error) {
-	return bm.allocateOnFrontier(g, frontierFor(g, TempCold), spare, p)
+// the spare area and the page's payload (nil for none); the block type of the
+// first page is stamped automatically.
+func (bm *blockManager) AllocatePage(g Group, spare flash.SpareArea, payload any, p flash.Purpose) (flash.PPN, error) {
+	return bm.allocateOnFrontier(g, frontierFor(g, TempCold), spare, payload, p)
 }
 
 // AllocateUserPage programs the next free page of the user group's frontier
@@ -334,10 +335,10 @@ func (bm *blockManager) AllocateUserPage(temp Temperature, spare flash.SpareArea
 	if !bm.hotCold {
 		temp = TempCold
 	}
-	return bm.allocateOnFrontier(GroupUser, frontierFor(GroupUser, temp), spare, p)
+	return bm.allocateOnFrontier(GroupUser, frontierFor(GroupUser, temp), spare, nil, p)
 }
 
-func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.SpareArea, p flash.Purpose) (flash.PPN, error) {
+func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.SpareArea, payload any, p flash.Purpose) (flash.PPN, error) {
 	for {
 		active := bm.active[frontier]
 		if active == flash.InvalidBlock || bm.blocks[active].writePointer >= bm.cfg.PagesPerBlock {
@@ -357,7 +358,7 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 			spare.BlockType = g.blockType()
 		}
 		ppn := flash.PPNOf(active, info.writePointer, bm.cfg.PagesPerBlock)
-		seq, err := bm.dev.WritePage(ppn, spare, p)
+		seq, err := bm.dev.WritePage(ppn, spare, payload, p)
 		if errors.Is(err, flash.ErrProgramFailed) {
 			// The device consumed the failed page (its write pointer moved
 			// past it); step over it and retry on the next frontier page —

@@ -45,7 +45,7 @@ func TestBlockManagerAllocation(t *testing.T) {
 	// Allocate five user pages: they fill one block and start a second.
 	var ppns []flash.PPN
 	for i := 0; i < 5; i++ {
-		ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: flash.LPN(i)}, flash.PurposeUserWrite)
+		ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: flash.LPN(i)}, nil, flash.PurposeUserWrite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,9 +75,9 @@ func TestBlockManagerAllocation(t *testing.T) {
 func TestBlockManagerGroupsAreSeparate(t *testing.T) {
 	dev := newTestDevice(t, 8, 4, 512)
 	bm := newBlockManager(dev, 2, false, false)
-	up, _ := bm.AllocatePage(GroupUser, flash.SpareArea{}, flash.PurposeUserWrite)
-	tp, _ := bm.AllocatePage(GroupTranslation, flash.SpareArea{}, flash.PurposeTranslation)
-	mp, _ := bm.AllocatePage(GroupMeta, flash.SpareArea{}, flash.PurposePageValidity)
+	up, _ := bm.AllocatePage(GroupUser, flash.SpareArea{}, nil, flash.PurposeUserWrite)
+	tp, _ := bm.AllocatePage(GroupTranslation, flash.SpareArea{}, nil, flash.PurposeTranslation)
+	mp, _ := bm.AllocatePage(GroupMeta, flash.SpareArea{}, nil, flash.PurposePageValidity)
 	blocks := map[flash.BlockID]bool{}
 	for _, ppn := range []flash.PPN{up, tp, mp} {
 		blocks[flash.BlockOf(ppn, 4)] = true
@@ -95,7 +95,7 @@ func TestBlockManagerInvalidateAndErase(t *testing.T) {
 	bm := newBlockManager(dev, 2, false, false)
 	var ppns []flash.PPN
 	for i := 0; i < 8; i++ { // two full user blocks
-		ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{}, flash.PurposeUserWrite)
+		ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{}, nil, flash.PurposeUserWrite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestBlockManagerEraseGuards(t *testing.T) {
 	if err := bm.Erase(3, flash.PurposeGCErase); err == nil {
 		t.Error("erasing an unallocated block accepted")
 	}
-	ppn, _ := bm.AllocatePage(GroupUser, flash.SpareArea{}, flash.PurposeUserWrite)
+	ppn, _ := bm.AllocatePage(GroupUser, flash.SpareArea{}, nil, flash.PurposeUserWrite)
 	active := flash.BlockOf(ppn, 4)
 	if err := bm.Erase(active, flash.PurposeGCErase); err == nil {
 		t.Error("erasing the active block accepted")
@@ -154,11 +154,11 @@ func TestVictimPolicies(t *testing.T) {
 	// (4 pages, all invalid) and leave actives partially filled.
 	var userPPNs, transPPNs []flash.PPN
 	for i := 0; i < 5; i++ {
-		ppn, _ := bm.AllocatePage(GroupUser, flash.SpareArea{}, flash.PurposeUserWrite)
+		ppn, _ := bm.AllocatePage(GroupUser, flash.SpareArea{}, nil, flash.PurposeUserWrite)
 		userPPNs = append(userPPNs, ppn)
 	}
 	for i := 0; i < 5; i++ {
-		ppn, _ := bm.AllocatePage(GroupTranslation, flash.SpareArea{}, flash.PurposeTranslation)
+		ppn, _ := bm.AllocatePage(GroupTranslation, flash.SpareArea{}, nil, flash.PurposeTranslation)
 		transPPNs = append(transPPNs, ppn)
 	}
 	bm.InvalidatePage(userPPNs[0])
@@ -189,7 +189,7 @@ func TestBlockManagerCrashAndRecencyOrder(t *testing.T) {
 	dev := newTestDevice(t, 8, 4, 512)
 	bm := newBlockManager(dev, 2, false, false)
 	for i := 0; i < 9; i++ {
-		if _, err := bm.AllocatePage(GroupUser, flash.SpareArea{}, flash.PurposeUserWrite); err != nil {
+		if _, err := bm.AllocatePage(GroupUser, flash.SpareArea{}, nil, flash.PurposeUserWrite); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -449,25 +449,23 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 	if len(sc.gmd) != f.table.Pages() {
 		return fmt.Errorf("%w: %d translation pages, shard has %d", checkpoint.ErrInvalid, len(sc.gmd), f.table.Pages())
 	}
-	shardPages := flash.PPN(int64(f.cfg.Blocks) * int64(f.cfg.PagesPerBlock))
 	for tp, ppn := range sc.gmd {
 		if ppn == flash.InvalidPPN {
 			continue
 		}
-		if ppn < 0 || ppn >= shardPages {
-			return fmt.Errorf("%w: translation page %d at %d out of range", checkpoint.ErrInvalid, tp, ppn)
+		if err := f.checkProgrammed(sc, ppn, GroupTranslation); err != nil {
+			return fmt.Errorf("%w: translation page %d: %w", checkpoint.ErrInvalid, tp, err)
 		}
-		block := flash.BlockID(int64(ppn) / int64(f.cfg.PagesPerBlock))
-		offset := int(int64(ppn) % int64(f.cfg.PagesPerBlock))
-		b := &sc.blocks[block]
-		if b.group != GroupTranslation || !b.allocated {
-			return fmt.Errorf("%w: translation page %d points into block %d of group %d", checkpoint.ErrInvalid, tp, block, b.group)
-		}
-		if offset >= b.writePointer {
-			return fmt.Errorf("%w: translation page %d points past block %d's write pointer", checkpoint.ErrInvalid, tp, block)
+	}
+	for _, r := range sc.runs {
+		for _, p := range r.Pages {
+			if err := f.checkProgrammed(sc, flash.PPN(p.PPN), GroupMeta); err != nil {
+				return fmt.Errorf("%w: gecko run %d: %w", checkpoint.ErrInvalid, r.ID, err)
+			}
 		}
 	}
 
+	shardPages := flash.PPN(int64(f.cfg.Blocks) * int64(f.cfg.PagesPerBlock))
 	if len(sc.cacheLRUFirst) > f.cache.Capacity() {
 		return fmt.Errorf("%w: %d cached entries over the %d-entry budget", checkpoint.ErrInvalid, len(sc.cacheLRUFirst), f.cache.Capacity())
 	}
@@ -489,6 +487,23 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 	}
 	if sc.heatEnabled && len(sc.heat) != len(f.heat.heat) {
 		return fmt.Errorf("%w: heat state for %d pages, shard tracks %d", checkpoint.ErrInvalid, len(sc.heat), len(f.heat.heat))
+	}
+	return nil
+}
+
+// checkProgrammed checks, without IO, that ppn is a programmed page of an
+// allocated group-g block in the checkpoint's device-verified block table.
+func (f *FTL) checkProgrammed(sc *shardCheckpoint, ppn flash.PPN, g Group) error {
+	if ppn < 0 || int64(ppn) >= int64(f.cfg.Blocks)*int64(f.cfg.PagesPerBlock) {
+		return fmt.Errorf("page %d out of range", ppn)
+	}
+	block := flash.BlockOf(ppn, f.cfg.PagesPerBlock)
+	b := &sc.blocks[block]
+	if b.group != g || !b.allocated {
+		return fmt.Errorf("page %d points into block %d of group %d", ppn, block, b.group)
+	}
+	if flash.OffsetOf(ppn, f.cfg.PagesPerBlock) >= b.writePointer {
+		return fmt.Errorf("page %d points past block %d's write pointer", ppn, block)
 	}
 	return nil
 }

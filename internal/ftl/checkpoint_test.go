@@ -262,3 +262,44 @@ func TestEngineRestoreRequiresPowerFail(t *testing.T) {
 		t.Fatalf("rejected restore disturbed the live engine: %v", err)
 	}
 }
+
+// TestCheckpointRunPagesMustBeProgrammedMetadata pins the device-truth check
+// on Gecko run directories: every run page must be a programmed page of an
+// allocated metadata block, or validation rejects the checkpoint.
+func TestCheckpointRunPagesMustBeProgrammedMetadata(t *testing.T) {
+	e := checkpointTestEngine(t, 64, 1)
+	ec, err := decodeCheckpoint(mustExport(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, sc := e.shards[0].ftl, ec.perShard[0]
+	if err := f.verifyShardCheckpoint(sc); err != nil {
+		t.Fatalf("untouched checkpoint rejected: %v", err)
+	}
+	if len(sc.runs) == 0 {
+		t.Fatal("test setup: checkpoint holds no gecko runs")
+	}
+	ppb := int64(f.cfg.PagesPerBlock)
+	userPage, unwritten := int64(-1), int64(-1)
+	for id, b := range sc.blocks {
+		switch {
+		case b.allocated && b.group == GroupUser:
+			userPage = int64(id) * ppb
+		case b.allocated && b.group == GroupMeta && int64(b.writePointer) < ppb:
+			unwritten = int64(id)*ppb + int64(b.writePointer)
+		}
+	}
+	if userPage < 0 || unwritten < 0 {
+		t.Fatal("test setup: no user block or partly written metadata block")
+	}
+	page := &sc.runs[0].Pages[0]
+	for _, tc := range []struct {
+		name string
+		ppn  int64
+	}{{"out of range", -1}, {"in a user block", userPage}, {"past the write pointer", unwritten}} {
+		page.PPN = tc.ppn
+		if err := f.verifyShardCheckpoint(sc); !errors.Is(err, checkpoint.ErrInvalid) {
+			t.Errorf("run page %s (%d): err = %v, want ErrInvalid", tc.name, tc.ppn, err)
+		}
+	}
+}

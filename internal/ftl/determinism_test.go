@@ -114,7 +114,7 @@ func TestPickVictimTieBreaksByLowestBlockID(t *testing.T) {
 	var blocks []flash.BlockID
 	for b := 0; b < 3; b++ {
 		for p := 0; p < cfg.PagesPerBlock; p++ {
-			ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: flash.LPN(b*cfg.PagesPerBlock + p)}, flash.PurposeUserWrite)
+			ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: flash.LPN(b*cfg.PagesPerBlock + p)}, nil, flash.PurposeUserWrite)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestPickVictimTieBreaksByLowestBlockID(t *testing.T) {
 			}
 		}
 	}
-	if _, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: 99}, flash.PurposeUserWrite); err != nil {
+	if _, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: 99}, nil, flash.PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range blocks[1:] {

@@ -367,7 +367,7 @@ func TestBlockManagerEraseRetiresOnFailure(t *testing.T) {
 			dev := hammerDevice(t, 8, tc.maxErase, tc.plan)
 			bm := newBlockManager(dev, 2, false, false)
 			// Allocate a block and roll the frontier off it so it is erasable.
-			ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: 1}, flash.PurposeUserWrite)
+			ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: 1}, nil, flash.PurposeUserWrite)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +379,7 @@ func TestBlockManagerEraseRetiresOnFailure(t *testing.T) {
 				if err := bm.Erase(block, flash.PurposeGCErase); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: 1}, flash.PurposeUserWrite); err != nil {
+				if _, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: 1}, nil, flash.PurposeUserWrite); err != nil {
 					t.Fatal(err)
 				}
 				bm.active[frontierFor(GroupUser, TempCold)] = flash.InvalidBlock

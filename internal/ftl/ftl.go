@@ -383,7 +383,7 @@ func (f *FTL) Read(lpn flash.LPN) error {
 		// Reading a never-written logical page returns zeroes without IO.
 		return nil
 	}
-	if err := f.dev.ReadPage(entry.Physical, flash.PurposeUserRead); err != nil {
+	if _, err := f.dev.ReadPage(entry.Physical, flash.PurposeUserRead); err != nil {
 		return err
 	}
 	return f.maybeScrub(entry.Physical)
@@ -781,9 +781,9 @@ func (f *FTL) collectBlock(victim flash.BlockID) error {
 }
 
 // metaRelocator is implemented by flash-resident page-validity stores whose
-// pages can be moved by the garbage-collector (the flash-resident PVB and the
-// page validity log). Logarithmic Gecko deliberately does not implement it:
-// GeckoFTL never garbage-collects metadata blocks.
+// pages can be moved by the garbage-collector: the flash-resident PVB, the
+// page validity log and Logarithmic Gecko. GeckoFTL's own policy never
+// collects metadata blocks; the greedy-policy ablation does.
 type metaRelocator interface {
 	IsLive(ppn flash.PPN) bool
 	Relocate(old, new flash.PPN) bool
@@ -816,14 +816,15 @@ func (f *FTL) migrateMetaPage(victim flash.BlockID, offset int) (bool, error) {
 	if relocator == nil || !relocator.IsLive(ppn) {
 		return false, nil
 	}
-	if err := f.dev.ReadPage(ppn, flash.PurposeGCMigration); err != nil {
+	payload, err := f.dev.ReadPage(ppn, flash.PurposeGCMigration)
+	if err != nil {
 		return true, err
 	}
 	spare, _, err := f.dev.ReadSpare(ppn, flash.PurposeGCMigration)
 	if err != nil {
 		return true, err
 	}
-	newPPN, err := f.bm.AllocatePage(GroupMeta, spare, flash.PurposeGCMigration)
+	newPPN, err := f.bm.AllocatePage(GroupMeta, spare, payload, flash.PurposeGCMigration)
 	if err != nil {
 		return true, err
 	}
@@ -893,13 +894,13 @@ func (f *FTL) migrateValidPage(ppn flash.PPN, group Group) (bool, error) {
 		}
 	}
 
-	if err := f.dev.ReadPage(ppn, flash.PurposeGCMigration); err != nil {
+	if _, err := f.dev.ReadPage(ppn, flash.PurposeGCMigration); err != nil {
 		return false, err
 	}
 	// Migrations always land on the cold frontier: a page that stayed valid
 	// long enough to be migrated is cold by observation, and keeping
 	// survivors out of hot blocks is half of what hot/cold separation buys.
-	newPPN, err := f.bm.AllocatePage(GroupUser, flash.SpareArea{Logical: lpn}, flash.PurposeGCMigration)
+	newPPN, err := f.bm.AllocatePage(GroupUser, flash.SpareArea{Logical: lpn}, nil, flash.PurposeGCMigration)
 	if err != nil {
 		return false, err
 	}
@@ -928,10 +929,10 @@ func (f *FTL) migrateValidPage(ppn flash.PPN, group Group) (bool, error) {
 // page-validity store are never live under the stores' own management, so
 // only translation pages reach this path.)
 func (f *FTL) migrateMetadataPage(ppn flash.PPN, spare flash.SpareArea, group Group) error {
-	if err := f.dev.ReadPage(ppn, flash.PurposeGCMigration); err != nil {
+	if _, err := f.dev.ReadPage(ppn, flash.PurposeGCMigration); err != nil {
 		return err
 	}
-	newPPN, err := f.bm.AllocatePage(group, spare, flash.PurposeGCMigration)
+	newPPN, err := f.bm.AllocatePage(group, spare, nil, flash.PurposeGCMigration)
 	if err != nil {
 		return err
 	}

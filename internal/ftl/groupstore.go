@@ -19,12 +19,12 @@ var _ metastore.Storage = (*groupStore)(nil)
 var _ metastore.BlockLister = (*groupStore)(nil)
 
 // Append programs the next free metadata page.
-func (s *groupStore) Append(spare flash.SpareArea) (flash.PPN, error) {
-	return s.bm.AllocatePage(GroupMeta, spare, flash.PurposePageValidity)
+func (s *groupStore) Append(spare flash.SpareArea, payload any) (flash.PPN, error) {
+	return s.bm.AllocatePage(GroupMeta, spare, payload, flash.PurposePageValidity)
 }
 
-// Read accounts a full page read of a metadata page.
-func (s *groupStore) Read(ppn flash.PPN) error {
+// Read accounts a full page read of a metadata page and returns its payload.
+func (s *groupStore) Read(ppn flash.PPN) (any, error) {
 	return s.bm.dev.ReadPage(ppn, flash.PurposePageValidity)
 }
 
@@ -33,9 +33,12 @@ func (s *groupStore) ReadSpare(ppn flash.PPN) (flash.SpareArea, bool, error) {
 	return s.bm.dev.ReadSpare(ppn, flash.PurposePageValidity)
 }
 
-// Invalidate marks a metadata page obsolete in the BVC.
+// Invalidate marks a metadata page obsolete in the BVC and drops its payload.
 func (s *groupStore) Invalidate(ppn flash.PPN) error {
-	return s.bm.InvalidatePage(ppn)
+	if err := s.bm.InvalidatePage(ppn); err != nil {
+		return err
+	}
+	return s.bm.dev.DiscardPayload(ppn)
 }
 
 // Blocks returns the blocks currently allocated to the metadata group, which

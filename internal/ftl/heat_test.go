@@ -118,7 +118,7 @@ func TestWearAwareTakesColdestFreeBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		worn[id] = true
-		if _, err := dev.WritePage(flash.PPNOf(id, 0, cfg.PagesPerBlock), flash.SpareArea{}, flash.PurposeUserWrite); err != nil {
+		if _, err := dev.WritePage(flash.PPNOf(id, 0, cfg.PagesPerBlock), flash.SpareArea{}, nil, flash.PurposeUserWrite); err != nil {
 			t.Fatal(err)
 		}
 		bm.blocks[id].writePointer = cfg.PagesPerBlock // full, victim-eligible
@@ -151,7 +151,7 @@ func TestCostBenefitPrefersOldInvalidBlocks(t *testing.T) {
 	fill := func() flash.BlockID {
 		var block flash.BlockID
 		for p := 0; p < cfg.PagesPerBlock; p++ {
-			ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: flash.LPN(p)}, flash.PurposeUserWrite)
+			ppn, err := bm.AllocatePage(GroupUser, flash.SpareArea{Logical: flash.LPN(p)}, nil, flash.PurposeUserWrite)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -378,12 +378,12 @@ func (f *FTL) recoverGeckoBuffer() error {
 		// on a protected block that the garbage-collector was not allowed to
 		// erase while the buffer held unflushed entries.
 		if loc := f.table.GMDLocation(tp); loc != flash.InvalidPPN {
-			if err := f.dev.ReadPage(loc, flash.PurposeRecovery); err != nil {
+			if _, err := f.dev.ReadPage(loc, flash.PurposeRecovery); err != nil {
 				return err
 			}
 		}
 		if prev.location != flash.InvalidPPN {
-			if err := f.dev.ReadPage(prev.location, flash.PurposeRecovery); err != nil {
+			if _, err := f.dev.ReadPage(prev.location, flash.PurposeRecovery); err != nil {
 				return err
 			}
 		}
@@ -429,7 +429,7 @@ func (f *FTL) rebuildRAMPVB() error {
 		if loc == flash.InvalidPPN {
 			continue
 		}
-		if err := f.dev.ReadPage(loc, flash.PurposeRecovery); err != nil {
+		if _, err := f.dev.ReadPage(loc, flash.PurposeRecovery); err != nil {
 			return err
 		}
 	}
@@ -466,7 +466,7 @@ func (f *FTL) rebuildPVLHeads() error {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
-			if err := f.dev.ReadPage(ppn, flash.PurposeRecovery); err != nil {
+			if _, err := f.dev.ReadPage(ppn, flash.PurposeRecovery); err != nil {
 				return err
 			}
 		}

@@ -19,11 +19,12 @@ const mappingEntryBytes = 4
 // current flash-resident version. Mapping entries are grouped into
 // translation pages of entriesPerPage consecutive logical pages; the GMD
 // records where the newest version of each translation page lives. The table
-// also keeps, per logical page, the mapping value as stored in flash (the
-// simulator does not store payloads in the device, so this mirror is the
-// translation pages' content); cached, possibly newer values live in the
-// FTL's LRU cache and reach the table only through synchronization
-// operations.
+// also keeps, per logical page, the mapping value as stored in flash: this
+// mirror is the translation pages' content. It stays in RAM, not in page
+// payloads, because it is updated in place per logical page; moving it to
+// flash means a copy-on-write of each translation page at every sync.
+// Cached, possibly newer values live in the FTL's LRU cache and reach the
+// table only through synchronization operations.
 // prevVersion preserves the location and content of a translation page as it
 // was before the first update since the last Gecko buffer flush; buffer
 // recovery (Appendix C.2.2) diffs against it.
@@ -99,7 +100,7 @@ func (t *translationTable) FlashEntry(lpn flash.LPN) flash.PPN {
 func (t *translationTable) ReadEntry(lpn flash.LPN, p flash.Purpose) (flash.PPN, error) {
 	tp := t.pageOf(lpn)
 	if loc := t.gmd[tp]; loc != flash.InvalidPPN {
-		if err := t.bm.dev.ReadPage(loc, p); err != nil {
+		if _, err := t.bm.dev.ReadPage(loc, p); err != nil {
 			return flash.InvalidPPN, err
 		}
 	}
@@ -132,7 +133,7 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) (beforeIma
 	}
 	old := t.gmd[tp]
 	if old != flash.InvalidPPN {
-		if err := t.bm.dev.ReadPage(old, flash.PurposeTranslation); err != nil {
+		if _, err := t.bm.dev.ReadPage(old, flash.PurposeTranslation); err != nil {
 			return nil, err
 		}
 	}
@@ -171,7 +172,7 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) (beforeIma
 	// WriteSeq but preserve Aux, which is what lets recovery date the
 	// durable mapping state (see recoverDirtyEntries).
 	spare := flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(tp), Aux: t.bm.LastWriteSeq()}
-	loc, err := t.bm.AllocatePage(GroupTranslation, spare, flash.PurposeTranslation)
+	loc, err := t.bm.AllocatePage(GroupTranslation, spare, nil, flash.PurposeTranslation)
 	if err != nil {
 		return nil, err
 	}

@@ -175,11 +175,11 @@ func TestTranslationTableCrashDropsGMDOnly(t *testing.T) {
 func TestGroupStoreRoundTrip(t *testing.T) {
 	bm, _, dev := newTestTable(t)
 	store := &groupStore{bm: bm}
-	ppn, err := store.Append(flash.SpareArea{Tag: 7})
+	ppn, err := store.Append(flash.SpareArea{Tag: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Read(ppn); err != nil {
+	if _, err := store.Read(ppn); err != nil {
 		t.Fatal(err)
 	}
 	spare, ok, err := store.ReadSpare(ppn)

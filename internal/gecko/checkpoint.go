@@ -7,9 +7,8 @@ import (
 )
 
 // RunPageExport is the serializable directory entry for one run page: its
-// physical location and packed key range. The page's entry content is not
-// exported — it is flash-resident and survives on the device; import
-// relinks it by physical address exactly as crash recovery does.
+// physical location and packed key range. The page's entries are not
+// exported: they are flash-resident and survive on the device.
 type RunPageExport struct {
 	PPN    int64
 	MinKey uint32
@@ -53,12 +52,11 @@ func (g *Gecko) ExportDirectories() []RunExport {
 }
 
 // ValidateDirectories checks an exported run set against this instance
-// without mutating anything: every run must be well-formed and every page
-// must have surviving flash content to relink. A checkpoint that passes
-// validation is importable; one that fails must fall back to
-// RecoverDirectories.
+// without mutating anything: every run must be well-formed. Whether each
+// page address points at programmed metadata is device truth the caller
+// checks (it knows which blocks hold metadata). A checkpoint that fails
+// validation must fall back to RecoverDirectories.
 func (g *Gecko) ValidateDirectories(runs []RunExport) error {
-	content := g.flashImage()
 	seenID := make(map[uint64]bool, len(runs))
 	for _, re := range runs {
 		if seenID[re.ID] {
@@ -74,35 +72,26 @@ func (g *Gecko) ValidateDirectories(runs []RunExport) error {
 		if sizeLevel := g.cfg.LevelOfRunPages(len(re.Pages)); sizeLevel > re.Level {
 			return fmt.Errorf("gecko: checkpoint run %d of %d pages cannot sit at level %d", re.ID, len(re.Pages), re.Level)
 		}
-		for _, p := range re.Pages {
-			if _, ok := content[flash.PPN(p.PPN)]; !ok {
-				return fmt.Errorf("gecko: checkpoint run %d references page %d with no content", re.ID, p.PPN)
-			}
-		}
 	}
 	return nil
 }
 
-// ImportDirectories replaces the RAM run directories with an exported set,
-// relinking page content from the surviving flash image and ratcheting the
-// run-ID and creation-sequence counters, exactly as RecoverDirectories
-// does — but without the spare-area scan. The set is validated first; on
-// error nothing has been mutated.
+// ImportDirectories replaces the RAM run directories with an exported set
+// and ratchets the run-ID and creation-sequence counters, exactly as
+// RecoverDirectories does — but without the spare-area scan. The set is
+// validated first; on error nothing has been mutated.
 func (g *Gecko) ImportDirectories(runs []RunExport) error {
 	if err := g.ValidateDirectories(runs); err != nil {
 		return err
 	}
-	content := g.flashImage()
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	for _, re := range runs {
 		r := &run{id: re.ID, createSeq: re.CreateSeq, level: re.Level}
 		for _, p := range re.Pages {
-			ppn := flash.PPN(p.PPN)
 			r.pages = append(r.pages, runPage{
-				ppn:     ppn,
-				minKey:  unpackKey(p.MinKey),
-				maxKey:  unpackKey(p.MaxKey),
-				entries: content[ppn],
+				ppn:    flash.PPN(p.PPN),
+				minKey: unpackKey(p.MinKey),
+				maxKey: unpackKey(p.MaxKey),
 			})
 		}
 		if re.CreateSeq > g.seq {

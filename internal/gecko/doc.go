@@ -21,8 +21,9 @@
 //     becomes independent of the block size B (Figure 10).
 //   - The merge machinery implements the two-way leveling merge of
 //     Section 3.2 and the multi-way variant of Appendix A.
-//   - Gecko.RecoverDirectories rebuilds the RAM-resident run directories and the
-//     buffer's protected state after power failure (Appendix C.2).
+//   - Gecko.RecoverDirectories rebuilds the RAM-resident run directories
+//     from a spare-area scan after power failure (Appendix C.1). The runs'
+//     entries are flash page payloads and need no rebuilding.
 //
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's

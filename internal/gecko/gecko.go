@@ -41,12 +41,6 @@ type Gecko struct {
 	buf    *buffer
 	levels [][]*run // levels[i] holds the runs currently at level i (usually 0 or 1)
 
-	// pageContent models the flash content of live run pages, keyed by
-	// physical address. The device simulator does not store payload bytes,
-	// so this map is the "flash image" that survives power failures and is
-	// consulted when recovery rebuilds the run directories.
-	pageContent map[flash.PPN][]Entry
-
 	nextRunID uint64
 	seq       uint64 // logical creation sequence for runs
 	stats     Stats
@@ -61,12 +55,11 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 		return nil, fmt.Errorf("gecko: nil store")
 	}
 	return &Gecko{
-		cfg:         cfg,
-		store:       store,
-		buf:         newBuffer(cfg),
-		levels:      make([][]*run, cfg.Levels()+1),
-		pageContent: make(map[flash.PPN][]Entry),
-		nextRunID:   1,
+		cfg:       cfg,
+		store:     store,
+		buf:       newBuffer(cfg),
+		levels:    make([][]*run, cfg.Levels()+1),
+		nextRunID: 1,
 	}, nil
 }
 
@@ -165,12 +158,12 @@ func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 		pageIdxs := r.directoryLookupAll(block)
 		stop := false
 		for _, pi := range pageIdxs {
-			page := &r.pages[pi]
-			if err := g.store.Read(page.ppn); err != nil {
-				return nil, fmt.Errorf("gecko: reading run %d page %d: %w", r.id, pi, err)
+			entries, err := g.readRunPage(r, pi)
+			if err != nil {
+				return nil, err
 			}
 			g.stats.QueryPageReads++
-			chunks, erased := page.entriesForBlock(block)
+			chunks, erased := entriesForBlock(entries, block)
 			g.fold(result, chunks)
 			if erased {
 				stop = true
@@ -181,6 +174,19 @@ func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 		}
 	}
 	return result, nil
+}
+
+// readRunPage reads page i of run r and returns the entries stored on it.
+func (g *Gecko) readRunPage(r *run, i int) ([]Entry, error) {
+	payload, err := g.store.Read(r.pages[i].ppn)
+	if err != nil {
+		return nil, fmt.Errorf("gecko: reading run %d page %d: %w", r.id, i, err)
+	}
+	entries, ok := payload.([]Entry)
+	if !ok {
+		return nil, fmt.Errorf("gecko: run %d page %d at %d holds no entries", r.id, i, r.pages[i].ppn)
+	}
+	return entries, nil
 }
 
 // fold ORs partitioned chunk entries into a full-block bitmap.
@@ -251,26 +257,29 @@ func (g *Gecko) flushBuffer() error {
 	return g.mergeIfNeeded()
 }
 
-// writeRun persists a sorted slice of entries as a new run and returns it.
+// writeRun persists a non-empty sorted slice of entries as a new run and
+// returns it. Each page holds up to V consecutive entries as its payload; its
+// key range goes into the spare area and the run directory.
 func (g *Gecko) writeRun(entries []Entry) (*run, error) {
-	pages := splitIntoPages(entries, g.cfg.EntriesPerPage())
+	v := g.cfg.EntriesPerPage()
+	n := (len(entries) + v - 1) / v
 	g.seq++
 	r := &run{
 		id:        g.nextRunID,
 		createSeq: g.seq,
-		level:     g.cfg.LevelOfRunPages(len(pages)),
-		pages:     pages,
+		level:     g.cfg.LevelOfRunPages(n),
+		pages:     make([]runPage, n),
 	}
 	g.nextRunID++
 	for i := range r.pages {
+		group := entries[i*v : min((i+1)*v, len(entries))]
 		p := &r.pages[i]
-		spare := encodeRunPageSpare(r.id, i, len(r.pages), p.minKey, p.maxKey)
-		ppn, err := g.store.Append(spare)
+		p.minKey, p.maxKey = group[0].key(), group[len(group)-1].key()
+		ppn, err := g.store.Append(encodeRunPageSpare(r.id, i, n, p.minKey, p.maxKey), group)
 		if err != nil {
 			return nil, fmt.Errorf("gecko: writing run %d page %d: %w", r.id, i, err)
 		}
 		p.ppn = ppn
-		g.pageContent[ppn] = p.entries
 	}
 	return r, nil
 }
@@ -358,7 +367,9 @@ func (g *Gecko) takeMergeInputs(level int) []*run {
 // mergeRuns merges the given runs (any number >= 1) into a single new run.
 // Every input page is read, the entries are sort-merged with the collision
 // rules of Algorithm 3 (generalized to whole-block erase entries), the result
-// is written as a new run, and the input pages are invalidated.
+// is written as a new run, and only then are the input pages invalidated: a
+// power cut during the write leaves the inputs intact on flash, where
+// recovery finds them.
 func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 	if len(inputs) == 0 {
 		return nil, nil
@@ -367,41 +378,53 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 	g.stats.MergedRuns += int64(len(inputs))
 
 	// Read every input page (the IO cost of the merge).
-	for _, r := range inputs {
+	streams := make([]stream, len(inputs))
+	for k, r := range inputs {
+		streams[k].createSeq = r.createSeq
 		for i := range r.pages {
-			if err := g.store.Read(r.pages[i].ppn); err != nil {
-				return nil, fmt.Errorf("gecko: merge read of run %d: %w", r.id, err)
+			entries, err := g.readRunPage(r, i)
+			if err != nil {
+				return nil, err
 			}
+			streams[k].entries = append(streams[k].entries, entries...)
 		}
 	}
 
-	merged := mergeEntryStreams(inputs)
+	var out *run
+	if merged := mergeEntryStreams(streams); len(merged) > 0 {
+		var err error
+		if out, err = g.writeRun(merged); err != nil {
+			return nil, err
+		}
+	}
 
-	// Discard the input runs: their pages are now obsolete.
+	// The output is durable: the input pages are now obsolete.
 	for _, r := range inputs {
 		for i := range r.pages {
 			if err := g.store.Invalidate(r.pages[i].ppn); err != nil {
 				return nil, fmt.Errorf("gecko: invalidating run %d: %w", r.id, err)
 			}
-			delete(g.pageContent, r.pages[i].ppn)
 		}
 	}
+	return out, nil
+}
 
-	if len(merged) == 0 {
-		return nil, nil
-	}
-	return g.writeRun(merged)
+// stream is one merge input: a run's entries in key order and the run's
+// creation sequence, which ranks its recency.
+type stream struct {
+	createSeq uint64
+	entries   []Entry
 }
 
 // mergeEntryStreams performs the k-way sort-merge of the input runs' entries.
-// Inputs must be ordered by recency is NOT required; recency is taken from
-// each run's createSeq. For every block, the newest erase entry (if any)
-// discards all entries from strictly older runs; colliding chunk entries from
-// surviving runs are OR-merged (Algorithm 3).
-func mergeEntryStreams(inputs []*run) []Entry {
+// The inputs may come in any order; recency is taken from each stream's
+// createSeq. For every block, the newest erase entry (if any) discards all
+// entries from strictly older runs; colliding chunk entries from surviving
+// runs are OR-merged (Algorithm 3).
+func mergeEntryStreams(inputs []stream) []Entry {
 	// Order inputs newest first so that "first occurrence wins" rules are
 	// easy to express.
-	ordered := append([]*run(nil), inputs...)
+	ordered := append([]stream(nil), inputs...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].createSeq > ordered[j].createSeq })
 
 	// cursor walks one run's entries in key order.
@@ -411,13 +434,9 @@ func mergeEntryStreams(inputs []*run) []Entry {
 		recency int // 0 = newest
 	}
 	cursors := make([]*cursor, 0, len(ordered))
-	for rank, r := range ordered {
-		var all []Entry
-		for i := range r.pages {
-			all = append(all, r.pages[i].entries...)
-		}
-		if len(all) > 0 {
-			cursors = append(cursors, &cursor{entries: all, recency: rank})
+	for rank, in := range ordered {
+		if len(in.entries) > 0 {
+			cursors = append(cursors, &cursor{entries: in.entries, recency: rank})
 		}
 	}
 

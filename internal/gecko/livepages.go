@@ -23,29 +23,31 @@ func (g *Gecko) LivePages() []flash.PPN {
 // targets metadata blocks), but the greedy-policy ablation does: a greedy
 // collector that picks a Gecko block must know which of its pages to migrate.
 func (g *Gecko) IsLive(ppn flash.PPN) bool {
-	_, ok := g.pageContent[ppn]
-	return ok
+	return g.findPage(ppn) != nil
 }
 
 // Relocate informs the structure that the garbage-collector moved one of its
-// live run pages to a new location, updating the run directory and the flash
-// image. It reports whether the old location was live.
+// live run pages, payload included, to a new location, updating the run
+// directory. It reports whether the old location was live.
 func (g *Gecko) Relocate(old, new flash.PPN) bool {
-	content, ok := g.pageContent[old]
-	if !ok {
+	p := g.findPage(old)
+	if p == nil {
 		return false
 	}
+	p.ppn = new
+	return true
+}
+
+// findPage returns the directory record of the live run page at ppn, or nil.
+func (g *Gecko) findPage(ppn flash.PPN) *runPage {
 	for _, lvl := range g.levels {
 		for _, r := range lvl {
 			for i := range r.pages {
-				if r.pages[i].ppn == old {
-					r.pages[i].ppn = new
-					delete(g.pageContent, old)
-					g.pageContent[new] = content
-					return true
+				if r.pages[i].ppn == ppn {
+					return &r.pages[i]
 				}
 			}
 		}
 	}
-	return false
+	return nil
 }

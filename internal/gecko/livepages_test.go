@@ -37,14 +37,19 @@ func TestRelocatePreservesQueries(t *testing.T) {
 		t.Fatal("no live pages to relocate")
 	}
 
-	// Simulate a greedy garbage-collector moving a live Gecko page: write a
-	// copy elsewhere in the store and tell the structure about it.
+	// Simulate a greedy garbage-collector moving a live Gecko page: copy its
+	// spare area and payload elsewhere in the store and tell the structure
+	// about it.
 	old := pages[0]
+	payload, err := h.store.Read(old)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spare, ok, err := h.store.ReadSpare(old)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	newPPN, err := h.store.Append(spare)
+	newPPN, err := h.store.Append(spare, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,21 +17,6 @@ func (g *Gecko) CrashRAM() {
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 }
 
-// OldestPendingCreateSeq returns the creation sequence number of the most
-// recently created run, or zero if no run exists. The FTL's buffer-recovery
-// procedure (Appendix C.2) uses it as the cut-off: anything erased or
-// invalidated after the last buffer flush must be re-inserted into the
-// buffer.
-func (g *Gecko) OldestPendingCreateSeq() uint64 {
-	newest := uint64(0)
-	for _, r := range g.runsNewestFirst() {
-		if r.createSeq > newest {
-			newest = r.createSeq
-		}
-	}
-	return newest
-}
-
 // NewestRunWriteSeq returns the device write-sequence number of the first
 // page of the most recently created run, or zero when no runs exist. The
 // FTL's recovery uses it to find blocks erased since the last buffer flush.
@@ -156,24 +141,13 @@ func (g *Gecko) RecoverDirectories() error {
 		liveLevels = append(liveLevels, level)
 	}
 
-	// Step 5: rebuild the in-RAM run structures. The entry content of live
-	// pages is the flash content written by writeRun; it is looked up by
-	// physical address from the surviving flash image.
-	content := g.flashImage()
+	// Step 5: rebuild the in-RAM run directories. The entries themselves
+	// stay on flash, where queries and merges read them.
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	for i, c := range live {
 		r := &run{id: c.id, createSeq: c.createSeq, level: liveLevels[i]}
 		for _, m := range c.pages {
-			page, ok := content[m.ppn]
-			if !ok {
-				return fmt.Errorf("gecko: recovered run %d references page %d with no content", c.id, m.ppn)
-			}
-			r.pages = append(r.pages, runPage{
-				ppn:     m.ppn,
-				minKey:  m.minKey,
-				maxKey:  m.maxKey,
-				entries: page,
-			})
+			r.pages = append(r.pages, runPage{ppn: m.ppn, minKey: m.minKey, maxKey: m.maxKey})
 		}
 		// Keep logical sequencing consistent for future runs and merges.
 		if c.createSeq > g.seq {
@@ -185,17 +159,4 @@ func (g *Gecko) RecoverDirectories() error {
 		g.placeRun(r)
 	}
 	return nil
-}
-
-// flashImage returns the surviving flash content of live run pages keyed by
-// physical address. It is rebuilt from the run structures that existed before
-// the crash because the simulator does not store payload bytes in the device;
-// only directory state (locations, key ranges, levels) is actually lost and
-// re-derived by RecoverDirectories.
-func (g *Gecko) flashImage() map[flash.PPN][]Entry {
-	out := make(map[flash.PPN][]Entry)
-	for ppn, entries := range g.pageContent {
-		out[ppn] = entries
-	}
-	return out
 }

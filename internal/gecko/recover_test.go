@@ -1,6 +1,7 @@
 package gecko
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -12,13 +13,20 @@ import (
 // reference model so that post-recovery answers can be checked.
 func populate(t *testing.T, h *testHarness, m *model, ops int, seed int64) {
 	t.Helper()
+	if err := drive(h, m, ops, seed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// drive is populate that stops at, and returns, the first error.
+func drive(h *testHarness, m *model, ops int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	blocks := h.cfg.Blocks
 	for i := 0; i < ops; i++ {
 		if rng.Intn(12) == 0 {
 			b := flash.BlockID(rng.Intn(blocks))
 			if err := h.g.RecordErase(b); err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if m != nil {
 				m.erase(b)
@@ -27,12 +35,13 @@ func populate(t *testing.T, h *testHarness, m *model, ops int, seed int64) {
 		}
 		a := flash.Addr{Block: flash.BlockID(rng.Intn(blocks)), Offset: rng.Intn(h.cfg.PagesPerBlock)}
 		if err := h.g.Update(a); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if m != nil {
 			m.update(a)
 		}
 	}
+	return nil
 }
 
 func TestRecoverDirectoriesRestoresQueries(t *testing.T) {
@@ -193,11 +202,75 @@ type nonListingStore struct {
 	inner *metastore.BlockStore
 }
 
-func (s nonListingStore) Append(spare flash.SpareArea) (flash.PPN, error) {
-	return s.inner.Append(spare)
+func (s nonListingStore) Append(spare flash.SpareArea, payload any) (flash.PPN, error) {
+	return s.inner.Append(spare, payload)
 }
-func (s nonListingStore) Read(ppn flash.PPN) error { return s.inner.Read(ppn) }
+func (s nonListingStore) Read(ppn flash.PPN) (any, error) { return s.inner.Read(ppn) }
 func (s nonListingStore) ReadSpare(ppn flash.PPN) (flash.SpareArea, bool, error) {
 	return s.inner.ReadSpare(ppn)
 }
 func (s nonListingStore) Invalidate(ppn flash.PPN) error { return s.inner.Invalidate(ppn) }
+
+// errPowerCut is what cutStore's appends fail with once power is "cut".
+var errPowerCut = errors.New("power cut")
+
+// cutStore is a block store whose appends fail from the cutAt-th onward, as
+// if power failed just before that page was programmed.
+type cutStore struct {
+	*metastore.BlockStore
+	appends, cutAt int
+}
+
+func (s *cutStore) Append(spare flash.SpareArea, payload any) (flash.PPN, error) {
+	s.appends++
+	if s.cutAt > 0 && s.appends >= s.cutAt {
+		return flash.InvalidPPN, errPowerCut
+	}
+	return s.BlockStore.Append(spare, payload)
+}
+
+// TestRecoverAfterPowerCutAtEveryAppend cuts power at every page program of
+// a workload that flushes and merges repeatedly, then checks that directory
+// recovery succeeds and every block can still be queried. A merge must leave
+// its input runs readable on flash until its output run is complete: a cut
+// during the output write makes recovery fall back to the inputs.
+func TestRecoverAfterPowerCutAtEveryAppend(t *testing.T) {
+	const (
+		userBlocks = 32
+		ops        = 1500
+		seed       = 21
+	)
+	run := func(cutAt int) (*testHarness, *cutStore, error) {
+		h := newHarness(t, userBlocks, 16, 256, 64, nil)
+		store := &cutStore{BlockStore: h.store, cutAt: cutAt}
+		g, err := New(h.cfg, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.g = g
+		return h, store, drive(h, nil, ops, seed)
+	}
+	h, store, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.g.Stats().Merges < 4 {
+		t.Fatalf("test setup: workload performed %d merges, want several", h.g.Stats().Merges)
+	}
+	total := store.appends
+	for k := 1; k <= total; k++ {
+		h, _, err := run(k)
+		if !errors.Is(err, errPowerCut) {
+			t.Fatalf("cut at append %d of %d: workload error %v, want the power cut", k, total, err)
+		}
+		h.g.CrashRAM()
+		if err := h.g.RecoverDirectories(); err != nil {
+			t.Fatalf("cut at append %d of %d: recovery: %v", k, total, err)
+		}
+		for b := 0; b < userBlocks; b++ {
+			if _, err := h.g.Query(flash.BlockID(b)); err != nil {
+				t.Fatalf("cut at append %d of %d: query of block %d: %v", k, total, b, err)
+			}
+		}
+	}
+}

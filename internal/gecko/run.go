@@ -6,35 +6,25 @@ import (
 	"geckoftl/internal/flash"
 )
 
-// runPage is one flash page of a run: up to V entries sorted by key, plus the
-// key range used by the run directory to route GC queries to the single page
-// that may contain a given block.
+// runPage is the run directory's record of one flash page of a run: its
+// physical location and the key range used to route GC queries to the single
+// page that may contain a given block. The page's up to V entries, sorted by
+// key, are its flash payload.
 type runPage struct {
-	ppn     flash.PPN
-	minKey  key
-	maxKey  key
-	entries []Entry
+	ppn    flash.PPN
+	minKey key
+	maxKey key
 }
 
 // run is a sorted run of Gecko entries stored in flash, together with its
 // RAM-resident run directory (the per-page key ranges and physical
-// locations). The entries slices model the flash content of the run's pages;
-// the directory fields are what is lost at power failure and recovered by
-// Appendix C.1.
+// locations). The directory is what is lost at power failure and recovered
+// by Appendix C.1; the entries stay on flash.
 type run struct {
 	id        uint64
 	level     int
 	createSeq uint64
 	pages     []runPage
-}
-
-// entryCount returns the total number of entries in the run.
-func (r *run) entryCount() int {
-	n := 0
-	for i := range r.pages {
-		n += len(r.pages[i].entries)
-	}
-	return n
 }
 
 // packKey encodes a composite (block, sub-key) into 32 bits for storage in a
@@ -92,28 +82,6 @@ func decodeRunPageSpare(spare flash.SpareArea, ppn flash.PPN) runPageMeta {
 	}
 }
 
-// splitIntoPages partitions sorted entries into consecutive groups of at most
-// V entries, computing each group's key range.
-func splitIntoPages(entries []Entry, v int) []runPage {
-	if len(entries) == 0 {
-		return nil
-	}
-	pages := make([]runPage, 0, (len(entries)+v-1)/v)
-	for start := 0; start < len(entries); start += v {
-		end := start + v
-		if end > len(entries) {
-			end = len(entries)
-		}
-		group := entries[start:end]
-		pages = append(pages, runPage{
-			minKey:  group[0].key(),
-			maxKey:  group[len(group)-1].key(),
-			entries: group,
-		})
-	}
-	return pages
-}
-
 // directoryLookup returns the index of the page of r whose key range may
 // contain entries for the given block, or -1 when no page overlaps it. Run
 // directories let a GC query read at most one page per run.
@@ -155,9 +123,9 @@ func (r *run) directoryLookupAll(block flash.BlockID) []int {
 
 // entriesForBlock returns the entries of a single run page that belong to the
 // block, and whether one of them carries the erase flag.
-func (p *runPage) entriesForBlock(block flash.BlockID) (chunks []Entry, erased bool) {
-	for i := range p.entries {
-		e := &p.entries[i]
+func entriesForBlock(entries []Entry, block flash.BlockID) (chunks []Entry, erased bool) {
+	for i := range entries {
+		e := &entries[i]
 		if e.Block != block {
 			continue
 		}
@@ -181,5 +149,5 @@ func (r *run) ramBytes() int64 {
 }
 
 func (r *run) String() string {
-	return fmt.Sprintf("run(id=%d level=%d pages=%d entries=%d)", r.id, r.level, len(r.pages), r.entryCount())
+	return fmt.Sprintf("run(id=%d level=%d pages=%d)", r.id, r.level, len(r.pages))
 }

@@ -59,10 +59,11 @@ func (g *Gecko) ScanValidity() (map[flash.BlockID]*bitmap.Bitmap, error) {
 	for _, r := range g.runsNewestFirst() {
 		var erasedInRun []flash.BlockID
 		for i := range r.pages {
-			if err := g.store.Read(r.pages[i].ppn); err != nil {
+			entries, err := g.readRunPage(r, i)
+			if err != nil {
 				return nil, err
 			}
-			erasedInRun = append(erasedInRun, fold(r.pages[i].entries)...)
+			erasedInRun = append(erasedInRun, fold(entries)...)
 		}
 		// Entries within the same run as an erase entry postdate the erase,
 		// so the block is only skipped for older runs.

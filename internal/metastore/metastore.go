@@ -12,14 +12,15 @@ var ErrNoSpace = errors.New("metastore: out of free metadata pages")
 
 // Storage is the interface flash-resident metadata structures write through.
 //
-// Append programs the next free metadata page and returns its physical
-// address. Read accounts a full page read. ReadSpare accounts a spare-area
-// read and returns the stored spare. Invalidate marks a previously appended
-// page as obsolete so that its block can eventually be erased; it performs no
-// IO by itself.
+// Append programs the next free metadata page with the given spare area and
+// payload (the page's content, opaque to the store) and returns its physical
+// address. Read accounts a full page read and returns the payload.
+// ReadSpare accounts a spare-area read and returns the stored spare.
+// Invalidate marks a previously appended page as obsolete, so that its block
+// can eventually be erased, and discards its payload; it performs no IO.
 type Storage interface {
-	Append(spare flash.SpareArea) (flash.PPN, error)
-	Read(ppn flash.PPN) error
+	Append(spare flash.SpareArea, payload any) (flash.PPN, error)
+	Read(ppn flash.PPN) (any, error)
 	ReadSpare(ppn flash.PPN) (flash.SpareArea, bool, error)
 	Invalidate(ppn flash.PPN) error
 }
@@ -96,7 +97,7 @@ func (s *BlockStore) FreePages() int {
 }
 
 // Append programs the next free page among the store's blocks.
-func (s *BlockStore) Append(spare flash.SpareArea) (flash.PPN, error) {
+func (s *BlockStore) Append(spare flash.SpareArea, payload any) (flash.PPN, error) {
 	cfg := s.dev.Config()
 	for tries := 0; tries < len(s.blocks); tries++ {
 		idx := (s.active + tries) % len(s.blocks)
@@ -119,7 +120,7 @@ func (s *BlockStore) Append(spare flash.SpareArea) (flash.PPN, error) {
 			spare.BlockType = s.btype
 		}
 		ppn := flash.PPNOf(s.blocks[idx], offset, cfg.PagesPerBlock)
-		if _, err := s.dev.WritePage(ppn, spare, s.purpose); err != nil {
+		if _, err := s.dev.WritePage(ppn, spare, payload, s.purpose); err != nil {
 			return flash.InvalidPPN, err
 		}
 		s.written[idx]++
@@ -128,8 +129,9 @@ func (s *BlockStore) Append(spare flash.SpareArea) (flash.PPN, error) {
 	return flash.InvalidPPN, ErrNoSpace
 }
 
-// Read accounts a full page read of a previously appended page.
-func (s *BlockStore) Read(ppn flash.PPN) error {
+// Read accounts a full page read of a previously appended page and returns
+// its payload.
+func (s *BlockStore) Read(ppn flash.PPN) (any, error) {
 	return s.dev.ReadPage(ppn, s.purpose)
 }
 
@@ -138,9 +140,10 @@ func (s *BlockStore) ReadSpare(ppn flash.PPN) (flash.SpareArea, bool, error) {
 	return s.dev.ReadSpare(ppn, s.purpose)
 }
 
-// Invalidate marks a previously appended page obsolete. When the last live
-// page of a full block is invalidated the block becomes reclaimable; the
-// erase itself is deferred until Append needs the space.
+// Invalidate marks a previously appended page obsolete and discards its
+// payload. When the last live page of a full block is invalidated the block
+// becomes reclaimable; the erase itself is deferred until Append needs the
+// space.
 func (s *BlockStore) Invalidate(ppn flash.PPN) error {
 	cfg := s.dev.Config()
 	block := flash.BlockOf(ppn, cfg.PagesPerBlock)
@@ -150,7 +153,7 @@ func (s *BlockStore) Invalidate(ppn flash.PPN) error {
 			if s.invalid[i] > cfg.PagesPerBlock {
 				return fmt.Errorf("metastore: block %d over-invalidated", block)
 			}
-			return nil
+			return s.dev.DiscardPayload(ppn)
 		}
 	}
 	return fmt.Errorf("metastore: page %d is not in this store", ppn)

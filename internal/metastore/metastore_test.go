@@ -36,7 +36,7 @@ func TestAppendFillsBlocksSequentially(t *testing.T) {
 	}
 	var ppns []flash.PPN
 	for i := 0; i < 8; i++ {
-		ppn, err := s.Append(flash.SpareArea{Tag: uint64(i)})
+		ppn, err := s.Append(flash.SpareArea{Tag: uint64(i)}, nil)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -50,7 +50,7 @@ func TestAppendFillsBlocksSequentially(t *testing.T) {
 		}
 	}
 	// Store is now full.
-	if _, err := s.Append(flash.SpareArea{}); !errors.Is(err, ErrNoSpace) {
+	if _, err := s.Append(flash.SpareArea{}, nil); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("append on full store err = %v, want ErrNoSpace", err)
 	}
 	if s.FreePages() != 0 {
@@ -61,7 +61,7 @@ func TestAppendFillsBlocksSequentially(t *testing.T) {
 func TestBlockTypeStampedOnFirstPage(t *testing.T) {
 	dev := smallDevice(t, 2, 4)
 	s, _ := NewBlockStore(dev, []flash.BlockID{0}, flash.BlockTranslation, flash.PurposeTranslation)
-	ppn, err := s.Append(flash.SpareArea{})
+	ppn, err := s.Append(flash.SpareArea{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReclaimFullyInvalidBlock(t *testing.T) {
 	s, _ := NewBlockStore(dev, []flash.BlockID{0}, flash.BlockGecko, flash.PurposePageValidity)
 	var ppns []flash.PPN
 	for i := 0; i < 4; i++ {
-		ppn, err := s.Append(flash.SpareArea{})
+		ppn, err := s.Append(flash.SpareArea{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +91,14 @@ func TestReclaimFullyInvalidBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Append(flash.SpareArea{}); !errors.Is(err, ErrNoSpace) {
+	if _, err := s.Append(flash.SpareArea{}, nil); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("append with live page remaining err = %v, want ErrNoSpace", err)
 	}
 	// Invalidate the last page: the next append erases and reuses the block.
 	if err := s.Invalidate(ppns[3]); err != nil {
 		t.Fatal(err)
 	}
-	ppn, err := s.Append(flash.SpareArea{})
+	ppn, err := s.Append(flash.SpareArea{}, nil)
 	if err != nil {
 		t.Fatalf("append after full invalidation: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestInvalidateErrors(t *testing.T) {
 	if err := s.Invalidate(flash.PPNOf(3, 0, 4)); err == nil {
 		t.Error("invalidate of foreign page accepted")
 	}
-	ppn, _ := s.Append(flash.SpareArea{})
+	ppn, _ := s.Append(flash.SpareArea{}, nil)
 	for i := 0; i < 4; i++ {
 		s.Invalidate(ppn)
 	}
@@ -129,7 +129,7 @@ func TestInvalidateErrors(t *testing.T) {
 func TestIOAccountingPurpose(t *testing.T) {
 	dev := smallDevice(t, 2, 4)
 	s, _ := NewBlockStore(dev, []flash.BlockID{0}, flash.BlockGecko, flash.PurposePageValidity)
-	ppn, _ := s.Append(flash.SpareArea{})
+	ppn, _ := s.Append(flash.SpareArea{}, nil)
 	s.Read(ppn)
 	s.ReadSpare(ppn)
 	c := dev.Counters()
@@ -150,8 +150,8 @@ func TestUtilization(t *testing.T) {
 	if got := s.Utilization(); got != 0 {
 		t.Errorf("empty utilization = %v", got)
 	}
-	ppn, _ := s.Append(flash.SpareArea{})
-	s.Append(flash.SpareArea{})
+	ppn, _ := s.Append(flash.SpareArea{}, nil)
+	s.Append(flash.SpareArea{}, nil)
 	if got := s.Utilization(); got != 0.25 {
 		t.Errorf("utilization = %v, want 0.25", got)
 	}
@@ -168,5 +168,23 @@ func TestBlocksAccessorCopies(t *testing.T) {
 	bs[0] = 99
 	if s.Blocks()[0] == 99 {
 		t.Error("Blocks exposes internal slice")
+	}
+}
+
+func TestPayloadRoundTripAndInvalidateDiscards(t *testing.T) {
+	dev := smallDevice(t, 2, 4)
+	s, _ := NewBlockStore(dev, []flash.BlockID{0}, flash.BlockGecko, flash.PurposePageValidity)
+	ppn, err := s.Append(flash.SpareArea{}, "run page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(ppn); err != nil || got != "run page" {
+		t.Fatalf("Read = %v, %v; want the appended payload", got, err)
+	}
+	if err := s.Invalidate(ppn); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(ppn); err != nil || got != nil {
+		t.Errorf("Read after Invalidate = %v, %v; want nil payload", got, err)
 	}
 }

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"time"
-
-	"geckoftl/internal/flash"
-)
+import "geckoftl/internal/flash"
 
 // ParallelParams describes a channel/die topology for the parallelism-aware
 // latency model. The paper's cost models assume a single serialized flash
@@ -69,14 +65,4 @@ func (p ParallelParams) WriteThroughput(lat flash.Latency, wa float64) float64 {
 		return 0
 	}
 	return p.Speedup() / perWrite
-}
-
-// ServiceTime predicts the wall-clock needed to serve n logical writes at
-// the modeled throughput.
-func (p ParallelParams) ServiceTime(lat flash.Latency, wa float64, n int64) time.Duration {
-	tp := p.WriteThroughput(lat, wa)
-	if tp <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / tp * float64(time.Second))
 }

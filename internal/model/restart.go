@@ -25,23 +25,16 @@ const (
 	checkpointBlockRecordBytes = 30
 	checkpointGMDRecordBytes   = 8
 	checkpointCacheRecordBytes = 17
-	checkpointHeatRecordBytes  = 12
 )
 
 // CheckpointSize estimates the encoded size in bytes of a metadata
 // checkpoint for a device with the given parameters: per-block state, the
-// GMD, up to C cached mapping entries, and (when hot/cold separation is on,
-// which the estimate assumes off) per-LPN heat state.
+// GMD and up to C cached mapping entries. It assumes hot/cold separation is
+// off, so it leaves out the per-LPN heat state.
 func CheckpointSize(p Parameters) int64 {
 	return p.Blocks*checkpointBlockRecordBytes +
 		p.TranslationPages()*checkpointGMDRecordBytes +
 		p.CacheEntries*checkpointCacheRecordBytes
-}
-
-// CheckpointSizeWithHeat is CheckpointSize plus the heat-classifier state a
-// hot/cold-separating FTL checkpoints (12 bytes per logical page).
-func CheckpointSizeWithHeat(p Parameters) int64 {
-	return CheckpointSize(p) + p.LogicalPages()*checkpointHeatRecordBytes
 }
 
 // WarmRestartEstimate is the modeled cost of loading a checkpoint at start.

@@ -182,14 +182,14 @@ func (p *FlashPVB) pvbPageOf(block flash.BlockID) int { return int(block) / p.bl
 // and writes the new version out-of-place.
 func (p *FlashPVB) rewrite(pvbPage int) error {
 	if cur := p.location[pvbPage]; cur != flash.InvalidPPN {
-		if err := p.store.Read(cur); err != nil {
+		if _, err := p.store.Read(cur); err != nil {
 			return err
 		}
 		if err := p.store.Invalidate(cur); err != nil {
 			return err
 		}
 	}
-	ppn, err := p.store.Append(flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(pvbPage), BlockType: flash.BlockGecko})
+	ppn, err := p.store.Append(flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(pvbPage), BlockType: flash.BlockGecko}, nil)
 	if err != nil {
 		return err
 	}
@@ -228,7 +228,7 @@ func (p *FlashPVB) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 	}
 	p.stats.Queries++
 	if cur := p.location[p.pvbPageOf(block)]; cur != flash.InvalidPPN {
-		if err := p.store.Read(cur); err != nil {
+		if _, err := p.store.Read(cur); err != nil {
 			return nil, err
 		}
 	}

@@ -219,7 +219,7 @@ func (l *Log) writeBuffer() error {
 	}
 	l.stats.Flushes++
 	pageIdx := (l.nextSlot - 1) / int64(l.cfg.EntriesPerPage())
-	ppn, err := l.store.Append(flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(pageIdx), BlockType: flash.BlockGecko})
+	ppn, err := l.store.Append(flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(pageIdx), BlockType: flash.BlockGecko}, nil)
 	if err != nil {
 		return err
 	}
@@ -249,7 +249,7 @@ func (l *Log) clean() error {
 			return nil
 		}
 		l.stats.Cleanings++
-		if err := l.store.Read(ppn); err != nil {
+		if _, err := l.store.Read(ppn); err != nil {
 			return err
 		}
 		end := (oldPage + 1) * per
@@ -313,7 +313,7 @@ func (l *Log) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 		}
 		pageIdx := slot / per
 		if ppn, inFlash := l.pageOf[pageIdx]; inFlash && !visited[pageIdx] {
-			if err := l.store.Read(ppn); err != nil {
+			if _, err := l.store.Read(ppn); err != nil {
 				return nil, err
 			}
 			visited[pageIdx] = true
