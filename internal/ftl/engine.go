@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/queue"
 	"geckoftl/internal/stats"
 )
 
@@ -213,6 +214,33 @@ func (e *Engine) ShardClock(s int) time.Duration {
 // of the op the caller waited on, modeling the host-side dependency chain.
 func (e *Engine) ShardAdvanceArrival(s int, t time.Duration) {
 	e.shards[s].ftl.Device().AdvanceArrival(t)
+}
+
+// QueueConfig wires a submission queue of the given per-shard depth and
+// admission policy over the engine: one queue per shard, the page-program
+// latency as the admission quantum, and the engine's single-page operations
+// as the executor. Its Exec also serves callers that execute a request
+// synchronously.
+func (e *Engine) QueueConfig(depth int, policy queue.Policy) queue.Config {
+	return queue.Config{
+		Shards:  e.Shards(),
+		Depth:   depth,
+		Policy:  policy,
+		Quantum: e.dev.Config().Latency.PageWrite,
+		ShardOf: e.ShardOf,
+		Exec: func(_ int, req queue.Request) error {
+			switch req.Kind {
+			case queue.OpRead:
+				return e.Read(req.LPN)
+			case queue.OpTrim:
+				return e.Trim(req.LPN)
+			default:
+				return e.Write(req.LPN)
+			}
+		},
+		Clock:   e.ShardClock,
+		Advance: e.ShardAdvanceArrival,
+	}
 }
 
 // Write serves one application write. Safe for concurrent use.
@@ -516,24 +544,33 @@ func (e *Engine) CheckConsistency() error {
 }
 
 // add accumulates other into s.
-func (s *Stats) add(other Stats) {
-	s.LogicalWrites += other.LogicalWrites
-	s.LogicalReads += other.LogicalReads
-	s.LogicalTrims += other.LogicalTrims
-	s.TrimmedPages += other.TrimmedPages
-	s.GCOperations += other.GCOperations
-	s.GCMigrations += other.GCMigrations
-	s.UIPSkips += other.UIPSkips
-	s.SyncOperations += other.SyncOperations
-	s.Checkpoints += other.Checkpoints
-	s.MetadataBlockErases += other.MetadataBlockErases
-	s.ForcedSyncs += other.ForcedSyncs
-	s.GCFallbacks += other.GCFallbacks
-	s.HotWrites += other.HotWrites
-	s.ColdWrites += other.ColdWrites
-	s.ProgramRetries += other.ProgramRetries
-	s.BadBlocks += other.BadBlocks
-	s.ScrubOperations += other.ScrubOperations
+func (s *Stats) add(other Stats) { s.addScaled(other, 1) }
+
+// Sub returns the difference s - prev, for measuring an interval.
+func (s Stats) Sub(prev Stats) Stats {
+	s.addScaled(prev, -1)
+	return s
+}
+
+// addScaled adds k times other into s.
+func (s *Stats) addScaled(other Stats, k int64) {
+	s.LogicalWrites += k * other.LogicalWrites
+	s.LogicalReads += k * other.LogicalReads
+	s.LogicalTrims += k * other.LogicalTrims
+	s.TrimmedPages += k * other.TrimmedPages
+	s.GCOperations += k * other.GCOperations
+	s.GCMigrations += k * other.GCMigrations
+	s.UIPSkips += k * other.UIPSkips
+	s.SyncOperations += k * other.SyncOperations
+	s.Checkpoints += k * other.Checkpoints
+	s.MetadataBlockErases += k * other.MetadataBlockErases
+	s.ForcedSyncs += k * other.ForcedSyncs
+	s.GCFallbacks += k * other.GCFallbacks
+	s.HotWrites += k * other.HotWrites
+	s.ColdWrites += k * other.ColdWrites
+	s.ProgramRetries += k * other.ProgramRetries
+	s.BadBlocks += k * other.BadBlocks
+	s.ScrubOperations += k * other.ScrubOperations
 }
 
 // CheckConsistency verifies the FTL's translation invariants against the

@@ -1,13 +1,12 @@
 package sim
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // ChannelPoint is one row of a channel-scaling sweep: the same workload run
@@ -43,17 +42,6 @@ type ChannelPoint struct {
 	LoadImbalance float64
 }
 
-// MinSweepShardBlocks is the fewest blocks ChannelSweep allows per shard.
-// Below roughly this size a GeckoFTL shard's fixed overheads (active blocks,
-// GC reserve, Gecko runs) eat the over-provisioned space and garbage
-// collection cannot converge.
-const MinSweepShardBlocks = 32
-
-// minSweepShardCache is the fewest mapping-cache entries ChannelSweep allows
-// per shard. ChannelSweep grows the sweep-wide budget (uniformly, so points
-// stay comparable) rather than silently giving wide points extra cache.
-const minSweepShardCache = 16
-
 // ChannelSweepOptions parameterizes a sweep.
 type ChannelSweepOptions struct {
 	// Scale sizes the device and the measured window. Scale.Device.Channels
@@ -69,11 +57,6 @@ type ChannelSweepOptions struct {
 	Workload string
 }
 
-// generator builds the sweep workload for an engine's logical page count.
-func (o ChannelSweepOptions) generator(logicalPages int64) (workload.Generator, error) {
-	return workload.ByName(o.Workload, logicalPages, o.Scale.Seed)
-}
-
 // ChannelSweep measures write throughput of the sharded GeckoFTL engine
 // across channel counts. Every point runs the same logical workload; the
 // total RAM budget is held constant by dividing the mapping cache across
@@ -87,25 +70,7 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	// Shards that are too small live-lock their garbage collector (every
-	// victim stays nearly fully valid), so grow the device until the widest
-	// point keeps a healthy number of blocks per shard. The grown geometry
-	// applies to every point, keeping the sweep comparable.
-	maxChannels := 0
-	for _, c := range channels {
-		if c > maxChannels {
-			maxChannels = c
-		}
-	}
-	if min := MinSweepShardBlocks * maxChannels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	// Likewise grow the cache budget so that dividing it by the widest
-	// point still leaves a workable per-shard cache; growing it once, for
-	// every point, keeps the total budget constant across the sweep.
-	if min := minSweepShardCache * maxChannels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
+	opts.Scale = opts.Scale.fitShards(slices.Max(channels))
 	var points []ChannelPoint
 	for _, c := range channels {
 		p, err := channelPoint(opts, c)
@@ -122,58 +87,23 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 }
 
 func channelPoint(opts ChannelSweepOptions, channels int) (ChannelPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
+	spec := opts.Scale.Device
 	spec.Channels = channels
-	dev, err := spec.NewDevice()
+	w, err := cell{
+		spec:   spec,
+		opts:   ftl.GeckoFTLOptions(opts.Scale.CacheEntries),
+		gen:    named(opts.Workload, opts.Scale.Seed),
+		batch:  opts.BatchSize,
+		perDie: 8,
+	}.warm()
 	if err != nil {
 		return ChannelPoint{}, err
 	}
-	cfg := dev.Config()
-
-	// Hold the total cache budget constant across sweep points (ChannelSweep
-	// has already grown the budget so this never rounds below a workable
-	// per-shard cache).
-	cachePerShard := scale.CacheEntries / channels
-	eng, err := ftl.NewEngine(dev, ftl.GeckoFTLOptions(cachePerShard), 0)
+	diesBefore := w.dev.DieTimes()
+	win, err := w.measure(opts.Scale.MeasureWrites)
 	if err != nil {
 		return ChannelPoint{}, err
 	}
-	gen, err := opts.generator(eng.LogicalPages())
-	if err != nil {
-		return ChannelPoint{}, err
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 8 * cfg.Dies()
-	}
-
-	pump := func(writes int64) error {
-		var done int64
-		for done < writes {
-			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return ChannelPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-
-	countersBefore := dev.Counters()
-	diesBefore := dev.DieTimes()
-	writesBefore := eng.Stats().LogicalWrites
-	if err := pump(scale.MeasureWrites); err != nil {
-		return ChannelPoint{}, fmt.Errorf("measurement: %w", err)
-	}
-	writes := eng.Stats().LogicalWrites - writesBefore
 
 	// Each shard drives its dies from a single goroutine, so a shard's
 	// critical path is the SUM of its dies' busy time — taking the busiest
@@ -183,9 +113,10 @@ func channelPoint(opts ChannelSweepOptions, channels int) (ChannelPoint, error) 
 	// over all dies. Dies are attributed to the shard owning their first
 	// block (exact whenever the block count divides evenly, as the grown
 	// sweep geometries do).
-	diesAfter := dev.DieTimes()
-	blocksPerShard := cfg.Blocks / eng.Shards()
-	shardBusy := make([]time.Duration, eng.Shards())
+	cfg := w.cfg
+	diesAfter := w.dev.DieTimes()
+	blocksPerShard := cfg.Blocks / w.eng.Shards()
+	shardBusy := make([]time.Duration, w.eng.Shards())
 	var maxDie, sum time.Duration
 	for d := range diesAfter {
 		busy := diesAfter[d] - diesBefore[d]
@@ -198,26 +129,17 @@ func channelPoint(opts ChannelSweepOptions, channels int) (ChannelPoint, error) 
 			shardBusy[s] += busy
 		}
 	}
-	var wall time.Duration
-	for _, busy := range shardBusy {
-		if busy > wall {
-			wall = busy
-		}
-	}
-	if wall < maxDie {
-		wall = maxDie
-	}
+	wall := max(maxDie, slices.Max(shardBusy))
 	p := ChannelPoint{
 		Channels:   channels,
 		Dies:       cfg.Dies(),
-		Writes:     writes,
+		Writes:     win.writes,
 		WallTime:   wall,
 		SerialTime: sum,
+		WA:         win.wa,
 	}
-	delta := cfg.Latency.WriteReadRatio()
-	p.WA = dev.Counters().Sub(countersBefore).WriteAmplification(writes, delta)
 	if p.WallTime > 0 {
-		p.Throughput = float64(writes) / p.WallTime.Seconds()
+		p.Throughput = float64(p.Writes) / p.WallTime.Seconds()
 	}
 	params := model.ParallelParams{Channels: channels, DiesPerChannel: spec.DiesPerChannel}
 	p.ModelThroughput = params.WriteThroughput(cfg.Latency, p.WA)

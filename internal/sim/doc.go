@@ -21,6 +21,17 @@
 //   - WearSweep compares the single user write frontier against hot/cold
 //     separation and wear-aware allocation, reporting write-amplification
 //     and erase-count spread per victim policy and workload.
+//   - RestartSweep compares a warm restart from the shutdown checkpoint
+//     against cold GeckoRec recovery across device sizes.
+//   - QueueSweep drives the async submission queues closed- and open-loop
+//     against the synchronous baseline and the saturation-knee model.
+//
+// Every engine sweep is a grid of cells. A cell (cell.go) is a device with
+// its channels and blocks set, the shards' FTL options, a workload, a batch
+// size and a warm-up length; one harness builds it, warms it with a shared
+// batched pump and measures a window, so each sweep adds only the work it
+// alone does (die attribution, crash and recovery, queue drive) and the
+// mapping to its rows.
 //
 // All sweep results are deterministic: time is the device's simulated
 // latency model, never the host clock.

@@ -44,6 +44,22 @@ func FullScale() ExperimentScale {
 	}
 }
 
+// isolated returns the options that run scheme on the scale's device
+// geometry with half as many metadata blocks as user blocks, the layout
+// every isolated figure starts from.
+func (s ExperimentScale) isolated(scheme SchemeBuilder) IsolatedOptions {
+	return IsolatedOptions{
+		UserBlocks:    s.Device.Blocks,
+		MetaBlocks:    s.Device.Blocks / 2,
+		PagesPerBlock: s.Device.PagesPerBlock,
+		PageSize:      s.Device.PageSize,
+		OverProvision: s.Device.OverProvision,
+		Scheme:        scheme,
+		MeasureWrites: s.MeasureWrites,
+		Seed:          s.Seed,
+	}
+}
+
 // Figure9Row is one bar group of Figure 9: a page-validity scheme with its
 // internal IO counts and write-amplification under uniformly random updates.
 type Figure9Row struct {
@@ -60,16 +76,7 @@ func Figure9(scale ExperimentScale) ([]Figure9Row, error) {
 	}
 	var rows []Figure9Row
 	for _, s := range schemes {
-		res, err := RunIsolated(IsolatedOptions{
-			UserBlocks:    scale.Device.Blocks,
-			MetaBlocks:    scale.Device.Blocks / 2,
-			PagesPerBlock: scale.Device.PagesPerBlock,
-			PageSize:      scale.Device.PageSize,
-			OverProvision: scale.Device.OverProvision,
-			Scheme:        s,
-			MeasureWrites: scale.MeasureWrites,
-			Seed:          scale.Seed,
-		})
+		res, err := RunIsolated(scale.isolated(s))
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 9 (%s): %w", s.Name, err)
 		}
@@ -96,16 +103,9 @@ func Figure10(scale ExperimentScale) ([]Figure10Row, error) {
 	blockSizes := []int{16, 32, 64, 128}
 	for _, b := range blockSizes {
 		for _, s := range []int{1, 0, b / 2} { // 0 selects the recommended factor
-			res, err := RunIsolated(IsolatedOptions{
-				UserBlocks:    scale.Device.Blocks,
-				MetaBlocks:    scale.Device.Blocks / 2,
-				PagesPerBlock: b,
-				PageSize:      scale.Device.PageSize,
-				OverProvision: scale.Device.OverProvision,
-				Scheme:        GeckoScheme(2, s),
-				MeasureWrites: scale.MeasureWrites,
-				Seed:          scale.Seed,
-			})
+			opts := scale.isolated(GeckoScheme(2, s))
+			opts.PagesPerBlock = b
+			res, err := RunIsolated(opts)
 			if err != nil {
 				return nil, fmt.Errorf("sim: figure 10 (B=%d S=%d): %w", b, s, err)
 			}
@@ -135,16 +135,9 @@ func Figure11(scale ExperimentScale) ([]Figure11Row, error) {
 	for _, k := range []int{64, 128, 256, 512} {
 		row := Figure11Row{Blocks: k}
 		for _, s := range []SchemeBuilder{GeckoScheme(2, 0), FlashPVBScheme()} {
-			res, err := RunIsolated(IsolatedOptions{
-				UserBlocks:    k,
-				MetaBlocks:    k / 2,
-				PagesPerBlock: scale.Device.PagesPerBlock,
-				PageSize:      scale.Device.PageSize,
-				OverProvision: scale.Device.OverProvision,
-				Scheme:        s,
-				MeasureWrites: scale.MeasureWrites,
-				Seed:          scale.Seed,
-			})
+			opts := scale.isolated(s)
+			opts.UserBlocks, opts.MetaBlocks = k, k/2
+			res, err := RunIsolated(opts)
 			if err != nil {
 				return nil, fmt.Errorf("sim: figure 11 (K=%d, %s): %w", k, s.Name, err)
 			}
@@ -176,16 +169,9 @@ type Figure12Row struct {
 func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 	var rows []Figure12Row
 	for _, r := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
-		res, err := RunIsolated(IsolatedOptions{
-			UserBlocks:    scale.Device.Blocks,
-			MetaBlocks:    scale.Device.Blocks / 2,
-			PagesPerBlock: scale.Device.PagesPerBlock,
-			PageSize:      scale.Device.PageSize,
-			OverProvision: r,
-			Scheme:        GeckoScheme(2, 0),
-			MeasureWrites: scale.MeasureWrites,
-			Seed:          scale.Seed,
-		})
+		opts := scale.isolated(GeckoScheme(2, 0))
+		opts.OverProvision = r
+		res, err := RunIsolated(opts)
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 12 (R=%.1f): %w", r, err)
 		}
@@ -197,21 +183,11 @@ func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 // Figure13WA runs the five FTLs under uniformly random writes and reports the
 // write-amplification breakdown of Figure 13 (bottom).
 func Figure13WA(scale ExperimentScale) ([]Result, error) {
-	builders := []struct {
-		name string
-		opts ftl.Options
-	}{
-		{"DFTL", ftl.DFTLOptions(scale.CacheEntries)},
-		{"LazyFTL", ftl.LazyFTLOptions(scale.CacheEntries)},
-		{"uFTL", ftl.MuFTLOptions(scale.CacheEntries)},
-		{"IB-FTL", ftl.IBFTLOptions(scale.CacheEntries)},
-		{"GeckoFTL", ftl.GeckoFTLOptions(scale.CacheEntries)},
-	}
 	var out []Result
-	for _, b := range builders {
+	for _, b := range ftlSchemes() {
 		res, err := Run(RunOptions{
 			Device:        scale.Device,
-			FTLOptions:    b.opts,
+			FTLOptions:    b.opts(scale.CacheEntries),
 			Workload:      nil,
 			MeasureWrites: scale.MeasureWrites,
 		})
@@ -320,23 +296,13 @@ type RecoveryResult struct {
 
 // RecoverySimulation crashes each FTL mid-workload and measures its recovery.
 func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
-	builders := []struct {
-		name string
-		opts ftl.Options
-	}{
-		{"DFTL", ftl.DFTLOptions(scale.CacheEntries)},
-		{"LazyFTL", ftl.LazyFTLOptions(scale.CacheEntries)},
-		{"uFTL", ftl.MuFTLOptions(scale.CacheEntries)},
-		{"IB-FTL", ftl.IBFTLOptions(scale.CacheEntries)},
-		{"GeckoFTL", ftl.GeckoFTLOptions(scale.CacheEntries)},
-	}
 	var out []RecoveryResult
-	for _, b := range builders {
+	for _, b := range ftlSchemes() {
 		dev, err := scale.Device.NewDevice()
 		if err != nil {
 			return nil, err
 		}
-		f, err := ftl.New(dev, b.opts)
+		f, err := ftl.New(dev, b.opts(scale.CacheEntries))
 		if err != nil {
 			return nil, err
 		}
@@ -388,29 +354,11 @@ func Headlines(scale ExperimentScale) (HeadlineSummary, error) {
 		RAMReduction:      model.RAMReductionVsPVB(model.GeckoFTL, p),
 		RecoveryReduction: model.RecoveryReductionVsLazyFTL(model.GeckoFTL, p),
 	}
-	gecko, err := RunIsolated(IsolatedOptions{
-		UserBlocks:    scale.Device.Blocks,
-		MetaBlocks:    scale.Device.Blocks / 2,
-		PagesPerBlock: scale.Device.PagesPerBlock,
-		PageSize:      scale.Device.PageSize,
-		OverProvision: scale.Device.OverProvision,
-		Scheme:        GeckoScheme(2, 0),
-		MeasureWrites: scale.MeasureWrites,
-		Seed:          scale.Seed,
-	})
+	gecko, err := RunIsolated(scale.isolated(GeckoScheme(2, 0)))
 	if err != nil {
 		return out, err
 	}
-	pvbRes, err := RunIsolated(IsolatedOptions{
-		UserBlocks:    scale.Device.Blocks,
-		MetaBlocks:    scale.Device.Blocks / 2,
-		PagesPerBlock: scale.Device.PagesPerBlock,
-		PageSize:      scale.Device.PageSize,
-		OverProvision: scale.Device.OverProvision,
-		Scheme:        FlashPVBScheme(),
-		MeasureWrites: scale.MeasureWrites,
-		Seed:          scale.Seed,
-	})
+	pvbRes, err := RunIsolated(scale.isolated(FlashPVBScheme()))
 	if err != nil {
 		return out, err
 	}

@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
 	"geckoftl/internal/stats"
-	"geckoftl/internal/workload"
 )
 
 // LatencyPoint is one row of the latency sweep: the sharded GeckoFTL engine
@@ -106,14 +104,7 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 	if len(modes) == 0 {
 		modes = []ftl.GCMode{ftl.GCInline, ftl.GCIncremental}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every point (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
+	opts.Scale = opts.Scale.fitShards(channels)
 
 	var points []LatencyPoint
 	for _, wl := range workloads {
@@ -132,78 +123,37 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 
 // latencyPoint measures one configuration.
 func latencyPoint(opts LatencySweepOptions, channels int, wl string, policy ftl.VictimPolicy, mode ftl.GCMode) (LatencyPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
+	spec := opts.Scale.Device
 	spec.Channels = channels
-	dev, err := spec.NewDevice()
-	if err != nil {
-		return LatencyPoint{}, err
-	}
-	cfg := dev.Config()
-
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
+	ftlOpts := ftl.GeckoFTLOptions(opts.Scale.CacheEntries)
 	ftlOpts.VictimPolicy = policy
 	ftlOpts.GCMode = mode
 	ftlOpts.GCPagesPerWrite = opts.GCPagesPerWrite
-	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
+	w, err := cell{spec: spec, opts: ftlOpts, gen: named(wl, opts.Scale.Seed), batch: opts.BatchSize, perDie: 2}.warm()
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	gen, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
+	win, err := w.measure(opts.Scale.MeasureWrites)
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 2 * cfg.Dies()
-	}
-
-	pump := func(writes int64) error {
-		var done int64
-		for done < writes {
-			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return LatencyPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-	eng.ResetLatencyStats()
-	countersBefore := dev.Counters()
-	statsBefore := eng.Stats()
-	if err := pump(scale.MeasureWrites); err != nil {
-		return LatencyPoint{}, fmt.Errorf("measurement: %w", err)
-	}
-
-	es := eng.LatencyStats()
-	after := eng.Stats()
-	writes := after.LogicalWrites - statsBefore.LogicalWrites
-	delta := cfg.Latency.WriteReadRatio()
 	p := LatencyPoint{
 		Workload:        wl,
 		Policy:          policy.String(),
 		GCMode:          mode.String(),
-		GCPagesPerWrite: eng.Shard(0).Options().GCPagesPerWrite,
+		GCPagesPerWrite: w.eng.Shard(0).Options().GCPagesPerWrite,
 		Channels:        channels,
-		Writes:          writes,
-		WA:              dev.Counters().Sub(countersBefore).WriteAmplification(writes, delta),
-		Write:           es.Writes,
-		GCStalledWrites: es.GCStalledWrites,
-		MaxGCStall:      es.MaxGCStall,
-		GCFallbacks:     after.GCFallbacks - statsBefore.GCFallbacks,
+		Writes:          win.writes,
+		WA:              win.wa,
+		Write:           win.latency.Writes,
+		GCStalledWrites: win.latency.GCStalledWrites,
+		MaxGCStall:      win.latency.MaxGCStall,
+		GCFallbacks:     win.ops.GCFallbacks,
 	}
 	if mode == ftl.GCIncremental {
-		p.ModelStallBound = model.IncrementalGCStallBound(cfg.Latency, p.GCPagesPerWrite)
+		p.ModelStallBound = model.IncrementalGCStallBound(w.cfg.Latency, p.GCPagesPerWrite)
 	} else {
-		p.ModelStallBound = model.InlineGCStallBound(cfg.Latency, cfg.PagesPerBlock)
+		p.ModelStallBound = model.InlineGCStallBound(w.cfg.Latency, w.cfg.PagesPerBlock)
 	}
 	return p, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
 	"geckoftl/internal/queue"
@@ -137,14 +136,7 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 			return nil, fmt.Errorf("sim: queue sweep: %w", err)
 		}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every row (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
+	opts.Scale = opts.Scale.fitShards(channels)
 
 	var points []QueuePoint
 
@@ -199,75 +191,41 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 	return points, nil
 }
 
-// queueBench is the warmed engine + device every row starts from.
+// queueBench is the warmed cell every row starts from, with its measured
+// window anchored at t0.
 type queueBench struct {
-	dev  *flash.Device
-	eng  *ftl.Engine
-	gen  workload.Generator
-	cfg  flash.Config
-	t0   time.Duration
-	base flash.Counters
-	ops  ftl.Stats
+	*warmCell
+	t0    time.Duration
+	start mark
 }
 
-// newQueueBench builds a fresh device and engine, warms them with two full
-// overwrites through the batched path, and anchors the measurement window:
-// stats reset, counters snapshotted, and the device-wide arrival clock
-// ratcheted so every shard's clock starts at the same virtual instant t0.
+// newQueueBench warms a fresh cell through the batched path and anchors the
+// measurement window: stats reset, counters snapshotted, and the device-wide
+// arrival clock ratcheted so every shard's clock starts at the same virtual
+// instant t0.
 func newQueueBench(opts QueueSweepOptions, channels int, wl string) (*queueBench, error) {
-	scale := opts.Scale
-	spec := scale.Device
+	spec := opts.Scale.Device
 	spec.Channels = channels
-	dev, err := spec.NewDevice()
-	if err != nil {
-		return nil, err
-	}
-	cfg := dev.Config()
 	// Incremental GC scheduling: the queue sweep is about tail latency, and
 	// an inline collector's whole-victim stalls (tens of milliseconds) would
 	// dominate every distribution and blur the saturation knee the model
 	// predicts from mean service rates.
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
+	ftlOpts := ftl.GeckoFTLOptions(opts.Scale.CacheEntries)
 	ftlOpts.GCMode = ftl.GCIncremental
-	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
+	w, err := cell{spec: spec, opts: ftlOpts, gen: named(wl, opts.Scale.Seed), perDie: 2}.warm()
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return nil, err
-	}
-	batchSize := 2 * cfg.Dies()
-	var done int64
-	for warm := 2 * eng.LogicalPages(); done < warm; {
-		_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-		if len(targets) == 0 {
-			continue
-		}
-		if err := eng.WriteBatch(context.Background(), targets); err != nil {
-			return nil, fmt.Errorf("warm-up: %w", err)
-		}
-		done += int64(len(targets))
-	}
-	eng.ResetLatencyStats()
-	return &queueBench{
-		dev:  dev,
-		eng:  eng,
-		gen:  gen,
-		cfg:  cfg,
-		t0:   dev.SyncArrival(),
-		base: dev.Counters(),
-		ops:  eng.Stats(),
-	}, nil
+	start := w.mark()
+	return &queueBench{warmCell: w, t0: w.dev.SyncArrival(), start: start}, nil
 }
 
-// point assembles the common fields of a finished row. end is the last
-// completion instant on the virtual timeline; offered is 0 for closed rows.
-func (b *queueBench) point(mode, wlName, policy string, depth int, end time.Duration, completed int64, offered float64) QueuePoint {
+// point assembles a finished row. end is the last completion instant on the
+// virtual timeline; offered is 0 for closed rows; qs carries the row's
+// operation fates and latency distribution.
+func (b *queueBench) point(mode, wlName, policy string, depth int, end time.Duration, offered float64, qs queue.Stats) QueuePoint {
 	window := end - b.t0
-	after := b.eng.Stats()
-	writes := after.LogicalWrites - b.ops.LogicalWrites
-	wa := b.dev.Counters().Sub(b.base).WriteAmplification(writes, b.cfg.Latency.WriteReadRatio())
+	wa := b.since(b.start).wa
 	qp := model.QueueingParams{
 		Parallel: model.ParallelParams{
 			Channels:       b.cfg.NumChannels(),
@@ -282,14 +240,18 @@ func (b *queueBench) point(mode, wlName, policy string, depth int, end time.Dura
 		Depth:      depth,
 		Channels:   b.cfg.NumChannels(),
 		Dies:       b.cfg.Dies(),
-		Completed:  completed,
+		Ops:        qs.Submitted,
+		Completed:  qs.Completed,
+		Shed:       qs.Shed,
+		Delayed:    qs.Delayed,
 		Offered:    offered,
 		WA:         wa,
 		ModelKnee:  qp.SaturationKnee(b.cfg.Latency, wa),
 		DelayBound: qp.DelayBound(b.cfg.Latency, wa),
+		Latency:    qs.Latency,
 	}
 	if window > 0 {
-		p.Throughput = float64(completed) / window.Seconds()
+		p.Throughput = float64(qs.Completed) / window.Seconds()
 	}
 	p.ModelDelivered = p.ModelKnee
 	if offered > 0 && offered < p.ModelKnee {
@@ -308,6 +270,7 @@ func queueSyncPoint(opts QueueSweepOptions, channels int, wl string) (QueuePoint
 	if err != nil {
 		return QueuePoint{}, err
 	}
+	exec := b.eng.QueueConfig(0, queue.AdmitWait).Exec
 	pc := b.t0
 	n := opts.Scale.MeasureWrites
 	for i := int64(0); i < n; i++ {
@@ -317,50 +280,13 @@ func queueSyncPoint(opts QueueSweepOptions, channels int, wl string) (QueuePoint
 			return QueuePoint{}, err
 		}
 		b.eng.ShardAdvanceArrival(s, pc)
-		if err := execOp(b.eng, op); err != nil {
+		if err := exec(s, queue.Request{Kind: queueKind(op.Kind), LPN: op.Page}); err != nil {
 			return QueuePoint{}, err
 		}
 		pc = b.eng.ShardClock(s)
 	}
-	p := b.point("closed", wl, "sync", 0, pc, n, 0)
-	p.Ops = n
-	p.Latency = b.eng.LatencyStats().Writes
-	return p, nil
-}
-
-// execOp issues one closed-loop operation synchronously.
-func execOp(eng *ftl.Engine, op workload.Op) error {
-	switch op.Kind {
-	case workload.OpRead:
-		return eng.Read(op.Page)
-	case workload.OpTrim:
-		return eng.Trim(op.Page)
-	default:
-		return eng.Write(op.Page)
-	}
-}
-
-// newQueue opens a submission queue over the bench's engine.
-func (b *queueBench) newQueue(depth int, policy queue.Policy) (*queue.Engine, error) {
-	return queue.New(queue.Config{
-		Shards:  b.eng.Shards(),
-		Depth:   depth,
-		Policy:  policy,
-		Quantum: b.cfg.Latency.PageWrite,
-		ShardOf: b.eng.ShardOf,
-		Exec: func(_ int, req queue.Request) error {
-			switch req.Kind {
-			case queue.OpRead:
-				return b.eng.Read(req.LPN)
-			case queue.OpTrim:
-				return b.eng.Trim(req.LPN)
-			default:
-				return b.eng.Write(req.LPN)
-			}
-		},
-		Clock:   b.eng.ShardClock,
-		Advance: b.eng.ShardAdvanceArrival,
-	})
+	chain := queue.Stats{Submitted: n, Completed: n, Latency: b.eng.LatencyStats().Writes}
+	return b.point("closed", wl, "sync", 0, pc, 0, chain), nil
 }
 
 // queueClosedPoint measures a caller keeping depth operations in flight
@@ -374,7 +300,7 @@ func queueClosedPoint(opts QueueSweepOptions, channels int, wl string, depth int
 	if err != nil {
 		return QueuePoint{}, err
 	}
-	q, err := b.newQueue(depth, queue.AdmitWait)
+	q, err := queue.New(b.eng.QueueConfig(depth, queue.AdmitWait))
 	if err != nil {
 		return QueuePoint{}, err
 	}
@@ -416,11 +342,7 @@ func queueClosedPoint(opts QueueSweepOptions, channels int, wl string, depth int
 		}
 	}
 	qs := q.Stats()
-	p := b.point("closed", wl, qs.Policy, depth, end, qs.Completed, 0)
-	p.Ops = qs.Submitted
-	p.Shed, p.Delayed = qs.Shed, qs.Delayed
-	p.Latency = qs.Latency
-	return p, nil
+	return b.point("closed", wl, qs.Policy, depth, end, 0, qs), nil
 }
 
 // queueKind maps a workload op kind to the queue's.
@@ -458,7 +380,7 @@ func queueOpenPoint(opts QueueSweepOptions, channels int, wl string, rate float6
 	if err != nil {
 		return QueuePoint{}, err
 	}
-	q, err := b.newQueue(depth, policy)
+	q, err := queue.New(b.eng.QueueConfig(depth, policy))
 	if err != nil {
 		return QueuePoint{}, err
 	}
@@ -495,10 +417,5 @@ func queueOpenPoint(opts QueueSweepOptions, channels int, wl string, rate float6
 	if last > b.t0 {
 		offered = float64(n) / (last - b.t0).Seconds()
 	}
-	qs := q.Stats()
-	p := b.point("open", ol.Name(), label, depth, end, qs.Completed, offered)
-	p.Ops = qs.Submitted
-	p.Shed, p.Delayed = qs.Shed, qs.Delayed
-	p.Latency = qs.Latency
-	return p, nil
+	return b.point("open", ol.Name(), label, depth, end, offered, q.Stats()), nil
 }

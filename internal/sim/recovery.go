@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // RecoveryPoint is one measurement of the engine-wide recovery sweep: a
@@ -87,20 +85,8 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	maxChannels := 0
-	for _, c := range channels {
-		if c > maxChannels {
-			maxChannels = c
-		}
-	}
-	// Grow the device and cache once so the widest point keeps workable
-	// shards; every point uses the grown values (see ChannelSweep).
-	if min := MinSweepShardBlocks * maxChannels; scale.Device.Blocks < min {
-		scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * maxChannels; scale.CacheEntries < min {
-		scale.CacheEntries = min
-	}
+	maxChannels := slices.Max(channels)
+	scale = scale.fitShards(maxChannels)
 	caches := opts.CacheEntries
 	if len(caches) == 0 {
 		caches = []int{scale.CacheEntries / 2, scale.CacheEntries * 2}
@@ -119,9 +105,7 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 		points = append(points, p)
 	}
 	for _, cache := range caches {
-		if cache < minSweepShardCache*maxChannels {
-			cache = minSweepShardCache * maxChannels
-		}
+		cache = max(cache, minSweepShardCache*maxChannels)
 		p, err := recoveryPoint("checkpoint", scale, "GeckoFTL", maxChannels, scale.Device.Blocks, cache)
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery sweep, cache %d: %w", cache, err)
@@ -143,67 +127,18 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 	return points, nil
 }
 
-// shardOptions builds the named FTL configuration for a per-shard cache.
-func shardOptions(name string, cacheEntries int) (ftl.Options, model.FTLKind, error) {
-	switch name {
-	case "GeckoFTL":
-		return ftl.GeckoFTLOptions(cacheEntries), model.GeckoFTL, nil
-	case "LazyFTL":
-		return ftl.LazyFTLOptions(cacheEntries), model.LazyFTL, nil
-	case "DFTL":
-		return ftl.DFTLOptions(cacheEntries), model.DFTL, nil
-	case "uFTL":
-		return ftl.MuFTLOptions(cacheEntries), model.MuFTL, nil
-	case "IB-FTL":
-		return ftl.IBFTLOptions(cacheEntries), model.IBFTL, nil
-	default:
-		return ftl.Options{}, 0, fmt.Errorf("sim: unknown FTL %q", name)
-	}
-}
-
 // recoveryPoint fills one sharded engine to steady state, crashes it,
 // recovers it and audits the result.
 func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, channels, blocks, cacheTotal int) (RecoveryPoint, error) {
-	spec := scale.Device
-	spec.Blocks = blocks
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+	scheme, err := schemeNamed(ftlName)
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	cfg := dev.Config()
-	opts, kind, err := shardOptions(ftlName, cacheTotal/channels)
+	w, err := crashCell(scale, scheme.opts(cacheTotal), channels, blocks).warm()
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	// Logarithmic Gecko's merge runs grow with the shard's capacity, and a
-	// single merge must fit inside the garbage-collection reserve; scale the
-	// reserve with the shard size so the capacity dimension's large
-	// single-shard points cannot exhaust the free pool mid-merge.
-	if shardBlocks := blocks / channels; 4+shardBlocks/128 > opts.GCFreeBlockReserve {
-		opts.GCFreeBlockReserve = 4 + shardBlocks/128
-	}
-	eng, err := ftl.NewEngine(dev, opts, 0)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-	gen, err := workload.NewUniform(eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-
-	// Fill the device past capacity so the crash interrupts steady-state
-	// garbage collection with a realistic population of dirty entries.
-	pre := 2 * eng.LogicalPages()
-	batch := make([]flash.LPN, 8*cfg.Dies())
-	for done := int64(0); done < pre; done += int64(len(batch)) {
-		for i := range batch {
-			batch[i] = gen.Next().Page
-		}
-		if err := eng.WriteBatch(context.Background(), batch); err != nil {
-			return RecoveryPoint{}, fmt.Errorf("fill: %w", err)
-		}
-	}
+	eng, cfg := w.eng, w.cfg
 
 	if err := eng.PowerFail(); err != nil {
 		return RecoveryPoint{}, err
@@ -215,15 +150,7 @@ func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, chan
 	if err := eng.CheckConsistency(); err != nil {
 		return RecoveryPoint{}, fmt.Errorf("post-recovery audit: %w", err)
 	}
-
-	mp := model.Default()
-	mp.Blocks = int64(cfg.Blocks)
-	mp.PagesPerBlock = int64(cfg.PagesPerBlock)
-	mp.PageSize = int64(cfg.PageSize)
-	mp.OverProvision = cfg.OverProvision
-	mp.CacheEntries = int64(cacheTotal)
-	mp.Latency = cfg.Latency
-	est := model.EngineRecovery(kind, mp, eng.Shards())
+	est := model.EngineRecovery(scheme.kind, modelParams(cfg, cacheTotal), eng.Shards())
 
 	return RecoveryPoint{
 		Dimension:        dimension,
@@ -233,7 +160,7 @@ func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, chan
 		Shards:           eng.Shards(),
 		Blocks:           cfg.Blocks,
 		CacheEntries:     cacheTotal,
-		PreWrites:        pre,
+		PreWrites:        w.warmup,
 		WallClock:        report.WallClock,
 		SerialTime:       report.SerialTime,
 		Speedup:          report.Speedup(),
@@ -244,4 +171,14 @@ func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, chan
 		ModelWall:        est.WallClock,
 		ModelSerial:      est.SerialTime,
 	}, nil
+}
+
+// crashCell is the cell the recovery and restart points crash: two full
+// uniform overwrites, so the crash interrupts steady-state garbage
+// collection with a realistic population of dirty entries.
+func crashCell(scale ExperimentScale, opts ftl.Options, channels, blocks int) cell {
+	spec := scale.Device
+	spec.Blocks = blocks
+	spec.Channels = channels
+	return cell{spec: spec, opts: opts, gen: named("uniform", scale.Seed), perDie: 8, mergeReserve: true}
 }

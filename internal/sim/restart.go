@@ -1,15 +1,12 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"geckoftl/internal/checkpoint"
-	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // RestartPoint is one measurement of the restart sweep: the same filled,
@@ -67,12 +64,7 @@ func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
 	if channels <= 0 {
 		channels = 1
 	}
-	if min := MinSweepShardBlocks * channels; scale.Device.Blocks < min {
-		scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; scale.CacheEntries < min {
-		scale.CacheEntries = min
-	}
+	scale = scale.fitShards(channels)
 	factors := opts.CapacityFactors
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4}
@@ -95,39 +87,11 @@ func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
 // restartPoint fills one engine, shuts it down cleanly, restarts it warm
 // from its checkpoint, then crashes and recovers the same state cold.
 func restartPoint(scale ExperimentScale, channels, blocks int) (RestartPoint, error) {
-	spec := scale.Device
-	spec.Blocks = blocks
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+	w, err := crashCell(scale, ftl.GeckoFTLOptions(scale.CacheEntries), channels, blocks).warm()
 	if err != nil {
 		return RestartPoint{}, err
 	}
-	cfg := dev.Config()
-	opts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
-	// Scale the GC reserve with the shard size, as in recoveryPoint: a
-	// Logarithmic Gecko merge must fit inside the reserve.
-	if shardBlocks := blocks / channels; 4+shardBlocks/128 > opts.GCFreeBlockReserve {
-		opts.GCFreeBlockReserve = 4 + shardBlocks/128
-	}
-	eng, err := ftl.NewEngine(dev, opts, 0)
-	if err != nil {
-		return RestartPoint{}, err
-	}
-	gen, err := workload.NewUniform(eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return RestartPoint{}, err
-	}
-
-	pre := 2 * eng.LogicalPages()
-	batch := make([]flash.LPN, 8*cfg.Dies())
-	for done := int64(0); done < pre; done += int64(len(batch)) {
-		for i := range batch {
-			batch[i] = gen.Next().Page
-		}
-		if err := eng.WriteBatch(context.Background(), batch); err != nil {
-			return RestartPoint{}, fmt.Errorf("fill: %w", err)
-		}
-	}
+	eng, cfg := w.eng, w.cfg
 
 	// Clean shutdown: flush dirty state, then export the checkpoint the
 	// warm restart will load.
@@ -165,13 +129,7 @@ func restartPoint(scale ExperimentScale, channels, blocks int) (RestartPoint, er
 
 	warm := model.WarmRestart(int64(len(encoded)))
 
-	mp := model.Default()
-	mp.Blocks = int64(cfg.Blocks)
-	mp.PagesPerBlock = int64(cfg.PagesPerBlock)
-	mp.PageSize = int64(cfg.PageSize)
-	mp.OverProvision = cfg.OverProvision
-	mp.CacheEntries = int64(scale.CacheEntries)
-	mp.Latency = cfg.Latency
+	mp := modelParams(cfg, scale.CacheEntries)
 	cold := model.EngineRecovery(model.GeckoFTL, mp, eng.Shards())
 
 	speedup := 0.0
@@ -183,7 +141,7 @@ func restartPoint(scale ExperimentScale, channels, blocks int) (RestartPoint, er
 		Shards:          eng.Shards(),
 		Blocks:          cfg.Blocks,
 		CacheEntries:    scale.CacheEntries,
-		PreWrites:       pre,
+		PreWrites:       w.warmup,
 		CheckpointBytes: int64(len(encoded)),
 		WarmWallClock:   warm.WallClock,
 		ColdWallClock:   report.WallClock,

@@ -138,15 +138,11 @@ func Run(opts RunOptions) (Result, error) {
 	result := Result{
 		Name:          f.Name(),
 		Writes:        writes,
-		WA:            counters.WriteAmplification(writes, delta),
 		RAMBytes:      f.RAMBytes(),
 		GCOperations:  f.Stats().GCOperations - statsBefore.GCOperations,
 		SimulatedTime: dev.SimulatedTime() - timeBefore,
 	}
-	result.UserWA = counters.PurposeWriteAmplification(flash.PurposeUserWrite, writes, delta) +
-		counters.PurposeWriteAmplification(flash.PurposeGCMigration, writes, delta)
-	result.TranslationWA = counters.PurposeWriteAmplification(flash.PurposeTranslation, writes, delta)
-	result.ValidityWA = counters.PurposeWriteAmplification(flash.PurposePageValidity, writes, delta)
+	result.WA, result.UserWA, result.TranslationWA, result.ValidityWA = waByPurpose(counters, writes, delta)
 	return result, nil
 }
 

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
-	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/stats"
 	"geckoftl/internal/workload"
@@ -85,14 +83,7 @@ func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
 			return nil, fmt.Errorf("sim: trim fraction %g out of range [0,1)", f)
 		}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every point (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
+	opts.Scale = opts.Scale.fitShards(channels)
 
 	var points []TrimPoint
 	for _, f := range fractions {
@@ -110,79 +101,33 @@ func trimPoint(opts TrimSweepOptions, channels int, wl string, fraction float64)
 	scale := opts.Scale
 	spec := scale.Device
 	spec.Channels = channels
-	dev, err := spec.NewDevice()
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	cfg := dev.Config()
-
-	eng, err := ftl.NewEngine(dev, ftl.GeckoFTLOptions(scale.CacheEntries/channels), 0)
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	writes, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	gen, err := workload.NewTrimming(writes, eng.LogicalPages(), fraction, scale.Seed+1)
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 2 * cfg.Dies()
-	}
-
-	// pump dispatches batches until the target number of logical writes has
-	// been served; interleaved trims ride along without counting.
-	pump := func(target int64) error {
-		var done int64
-		for done < target {
-			_, targets, trims := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(trims) > 0 {
-				if err := eng.TrimBatch(context.Background(), trims); err != nil {
-					return err
-				}
-			}
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
+	gen := func(logicalPages int64) (workload.Generator, error) {
+		writes, err := workload.ByName(wl, logicalPages, scale.Seed)
+		if err != nil {
+			return nil, err
 		}
-		return nil
+		return workload.NewTrimming(writes, logicalPages, fraction, scale.Seed+1)
 	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return TrimPoint{}, fmt.Errorf("warm-up: %w", err)
+	w, err := cell{spec: spec, opts: ftl.GeckoFTLOptions(scale.CacheEntries), gen: gen, batch: opts.BatchSize, perDie: 2}.warm()
+	if err != nil {
+		return TrimPoint{}, err
 	}
-	eng.ResetLatencyStats()
-	countersBefore := dev.Counters()
-	statsBefore := eng.Stats()
-	if err := pump(scale.MeasureWrites); err != nil {
-		return TrimPoint{}, fmt.Errorf("measurement: %w", err)
+	win, err := w.measure(scale.MeasureWrites)
+	if err != nil {
+		return TrimPoint{}, err
 	}
-
-	es := eng.LatencyStats()
-	after := eng.Stats()
-	nWrites := after.LogicalWrites - statsBefore.LogicalWrites
-	counters := dev.Counters().Sub(countersBefore)
-	delta := cfg.Latency.WriteReadRatio()
 	return TrimPoint{
-		Workload:     wl,
-		TrimFraction: fraction,
-		Channels:     channels,
-		Writes:       nWrites,
-		Trims:        after.LogicalTrims - statsBefore.LogicalTrims,
-		TrimmedPages: after.TrimmedPages - statsBefore.TrimmedPages,
-		WA:           counters.WriteAmplification(nWrites, delta),
-		UserWA: counters.PurposeWriteAmplification(flash.PurposeUserWrite, nWrites, delta) +
-			counters.PurposeWriteAmplification(flash.PurposeGCMigration, nWrites, delta),
-		TranslationWA: counters.PurposeWriteAmplification(flash.PurposeTranslation, nWrites, delta),
-		ValidityWA:    counters.PurposeWriteAmplification(flash.PurposePageValidity, nWrites, delta),
-		Write:         es.Writes,
-		Trim:          es.Trims,
+		Workload:      wl,
+		TrimFraction:  fraction,
+		Channels:      channels,
+		Writes:        win.writes,
+		Trims:         win.trims,
+		TrimmedPages:  win.ops.TrimmedPages,
+		WA:            win.wa,
+		UserWA:        win.userWA,
+		TranslationWA: win.translationWA,
+		ValidityWA:    win.validityWA,
+		Write:         win.latency.Writes,
+		Trim:          win.latency.Trims,
 	}, nil
 }

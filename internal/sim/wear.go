@@ -1,13 +1,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // WearPoint is one row of the wear sweep: the sharded GeckoFTL engine run
@@ -129,14 +127,7 @@ func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimCostBenefit}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every point (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
+	opts.Scale = opts.Scale.fitShards(channels)
 
 	var points []WearPoint
 	for _, wl := range workloads {
@@ -155,80 +146,39 @@ func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
 
 // wearPoint measures one configuration.
 func wearPoint(opts WearSweepOptions, channels int, wl string, policy ftl.VictimPolicy, wc wearConfig) (WearPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
+	spec := opts.Scale.Device
 	spec.Channels = channels
-	dev, err := spec.NewDevice()
-	if err != nil {
-		return WearPoint{}, err
-	}
-	cfg := dev.Config()
-
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
+	ftlOpts := ftl.GeckoFTLOptions(opts.Scale.CacheEntries)
 	ftlOpts.VictimPolicy = policy
 	ftlOpts.HotColdSeparation = wc.hotCold
 	ftlOpts.WearAwareAllocation = wc.wearAware
-	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
+	w, err := cell{spec: spec, opts: ftlOpts, gen: named(wl, opts.Scale.Seed), batch: opts.BatchSize, perDie: 2}.warm()
 	if err != nil {
 		return WearPoint{}, err
 	}
-	gen, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
+	win, err := w.measure(opts.Scale.MeasureWrites)
 	if err != nil {
 		return WearPoint{}, err
 	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 2 * cfg.Dies()
-	}
-
-	pump := func(writes int64) error {
-		var done int64
-		for done < writes {
-			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return WearPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-	countersBefore := dev.Counters()
-	statsBefore := eng.Stats()
-	if err := pump(scale.MeasureWrites); err != nil {
-		return WearPoint{}, fmt.Errorf("measurement: %w", err)
-	}
-
-	after := eng.Stats()
-	writes := after.LogicalWrites - statsBefore.LogicalWrites
-	counters := dev.Counters().Sub(countersBefore)
-	delta := cfg.Latency.WriteReadRatio()
-	minErase, maxErase, _ := dev.BlocksEndurance()
+	minErase, maxErase, _ := w.dev.BlocksEndurance()
 	p := WearPoint{
-		Workload:  wl,
-		Policy:    policy.String(),
-		Frontier:  wc.frontier,
-		WearAware: wc.wearAware,
-		Channels:  channels,
-		Writes:    writes,
-		HotWrites: after.HotWrites - statsBefore.HotWrites,
-		WA:        counters.WriteAmplification(writes, delta),
-		UserWA: counters.PurposeWriteAmplification(flash.PurposeUserWrite, writes, delta) +
-			counters.PurposeWriteAmplification(flash.PurposeGCMigration, writes, delta),
-		TranslationWA: counters.PurposeWriteAmplification(flash.PurposeTranslation, writes, delta),
-		ValidityWA:    counters.PurposeWriteAmplification(flash.PurposePageValidity, writes, delta),
-		Erases:        counters.TotalOp(flash.OpErase),
+		Workload:      wl,
+		Policy:        policy.String(),
+		Frontier:      wc.frontier,
+		WearAware:     wc.wearAware,
+		Channels:      channels,
+		Writes:        win.writes,
+		HotWrites:     win.ops.HotWrites,
+		WA:            win.wa,
+		UserWA:        win.userWA,
+		TranslationWA: win.translationWA,
+		ValidityWA:    win.validityWA,
+		Erases:        win.counters.TotalOp(flash.OpErase),
 		MinErase:      minErase,
 		MaxErase:      maxErase,
 		EraseSpread:   maxErase - minErase,
 	}
-	if mp, ok := twoClassApprox(wl, cfg.OverProvision); ok {
+	if mp, ok := twoClassApprox(wl, w.cfg.OverProvision); ok {
 		if p.ModelSingleWA, err = model.SingleFrontierWA(mp); err != nil {
 			return WearPoint{}, err
 		}
