@@ -12,8 +12,9 @@ import (
 
 // cell is one grid point of an engine sweep: a device, the FTL its shards
 // run, and the workload that warms and measures it. Every engine sweep is a
-// grid of cells; warm builds a cell and brings it to steady state, so the
-// recipe device -> engine -> warm-up -> measured window lives here alone.
+// grid of cells; warm builds a cell and brings it to steady state (two full
+// overwrites of the logical space), so the recipe device -> engine ->
+// warm-up -> measured window lives here alone.
 type cell struct {
 	// spec is the device, with Channels and Blocks already set.
 	spec DeviceSpec
@@ -25,9 +26,6 @@ type cell struct {
 	// batch is the number of operations per engine batch; zero or less
 	// means perDie operations per die.
 	batch, perDie int
-	// warmup is the number of logical writes issued before the cell counts
-	// as warm; zero means two full overwrites of the logical space.
-	warmup int64
 	// mergeReserve scales the garbage-collection reserve with the shard
 	// size: a Logarithmic Gecko merge grows with the shard's capacity and
 	// must fit inside the reserve, which the large single-shard points of
@@ -57,8 +55,8 @@ type warmCell struct {
 // that whatever is measured next runs in steady-state garbage collection.
 func (c cell) warm() (*warmCell, error) {
 	channels := c.spec.Channels
-	if channels < 1 {
-		return nil, fmt.Errorf("channel count %d must be at least 1", channels)
+	if err := checkChannels(channels); err != nil {
+		return nil, err
 	}
 	dev, err := c.spec.NewDevice()
 	if err != nil {
@@ -77,17 +75,25 @@ func (c cell) warm() (*warmCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &warmCell{dev: dev, eng: eng, cfg: dev.Config(), gen: gen, batch: c.batch, warmup: c.warmup}
+	w := &warmCell{dev: dev, eng: eng, cfg: dev.Config(), gen: gen, batch: c.batch, warmup: 2 * eng.LogicalPages()}
 	if w.batch <= 0 {
 		w.batch = c.perDie * w.cfg.Dies()
-	}
-	if w.warmup == 0 {
-		w.warmup = 2 * eng.LogicalPages()
 	}
 	if err := w.pump(w.warmup); err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
 	return w, nil
+}
+
+// checkChannels rejects a channel count below one. Sweeps check their whole
+// list before running any point; warm checks again for its own cell.
+func checkChannels(channels ...int) error {
+	for _, c := range channels {
+		if c < 1 {
+			return fmt.Errorf("channel count %d must be at least 1", c)
+		}
+	}
+	return nil
 }
 
 // pump dispatches batches until n logical writes have been served. A
@@ -122,9 +128,8 @@ type mark struct {
 // window is what a warmed cell did between a mark and the end of its
 // measurement.
 type window struct {
-	// writes and trims count the logical writes and trims served.
-	writes, trims int64
-	// counters is the window's device IO, ops its engine counters.
+	// counters is the window's device IO, ops its engine counters
+	// (ops.LogicalWrites and ops.LogicalTrims count what it served).
 	counters flash.Counters
 	ops      ftl.Stats
 	// latency holds the window's distributions alone (its Ops field is
@@ -142,15 +147,12 @@ func (w *warmCell) mark() mark {
 
 // since closes the window opened by m.
 func (w *warmCell) since(m mark) window {
-	ops := w.eng.Stats().Sub(m.ops)
 	win := window{
-		writes:   ops.LogicalWrites,
-		trims:    ops.LogicalTrims,
 		counters: w.dev.Counters().Sub(m.counters),
-		ops:      ops,
+		ops:      w.eng.Stats().Sub(m.ops),
 		latency:  w.eng.LatencyStats(),
 	}
-	win.wa, win.userWA, win.translationWA, win.validityWA = waByPurpose(win.counters, win.writes, w.cfg.Latency.WriteReadRatio())
+	win.wa, win.userWA, win.translationWA, win.validityWA = waByPurpose(win.counters, win.ops.LogicalWrites, w.cfg.Latency.WriteReadRatio())
 	return win
 }
 

@@ -70,6 +70,9 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
+	if err := checkChannels(channels...); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	opts.Scale = opts.Scale.fitShards(slices.Max(channels))
 	var points []ChannelPoint
 	for _, c := range channels {
@@ -133,7 +136,7 @@ func channelPoint(opts ChannelSweepOptions, channels int) (ChannelPoint, error) 
 	p := ChannelPoint{
 		Channels:   channels,
 		Dies:       cfg.Dies(),
-		Writes:     win.writes,
+		Writes:     win.ops.LogicalWrites,
 		WallTime:   wall,
 		SerialTime: sum,
 		WA:         win.wa,

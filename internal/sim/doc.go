@@ -27,11 +27,11 @@
 //     against the synchronous baseline and the saturation-knee model.
 //
 // Every engine sweep is a grid of cells. A cell (cell.go) is a device with
-// its channels and blocks set, the shards' FTL options, a workload, a batch
-// size and a warm-up length; one harness builds it, warms it with a shared
-// batched pump and measures a window, so each sweep adds only the work it
-// alone does (die attribution, crash and recovery, queue drive) and the
-// mapping to its rows.
+// its channels and blocks set, the shards' FTL options, a workload and a
+// batch size; one harness builds it, warms it with a shared batched pump
+// (two full overwrites of the logical space) and measures a window, so each
+// sweep adds only the work it alone does (die attribution, crash and
+// recovery, queue drive) and the mapping to its rows.
 //
 // All sweep results are deterministic: time is the device's simulated
 // latency model, never the host clock.

@@ -143,7 +143,7 @@ func latencyPoint(opts LatencySweepOptions, channels int, wl string, policy ftl.
 		GCMode:          mode.String(),
 		GCPagesPerWrite: w.eng.Shard(0).Options().GCPagesPerWrite,
 		Channels:        channels,
-		Writes:          win.writes,
+		Writes:          win.ops.LogicalWrites,
 		WA:              win.wa,
 		Write:           win.latency.Writes,
 		GCStalledWrites: win.latency.GCStalledWrites,

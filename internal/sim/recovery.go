@@ -85,6 +85,9 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
+	if err := checkChannels(channels...); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	maxChannels := slices.Max(channels)
 	scale = scale.fitShards(maxChannels)
 	caches := opts.CacheEntries

@@ -120,8 +120,8 @@ func trimPoint(opts TrimSweepOptions, channels int, wl string, fraction float64)
 		Workload:      wl,
 		TrimFraction:  fraction,
 		Channels:      channels,
-		Writes:        win.writes,
-		Trims:         win.trims,
+		Writes:        win.ops.LogicalWrites,
+		Trims:         win.ops.LogicalTrims,
 		TrimmedPages:  win.ops.TrimmedPages,
 		WA:            win.wa,
 		UserWA:        win.userWA,

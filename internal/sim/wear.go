@@ -167,7 +167,7 @@ func wearPoint(opts WearSweepOptions, channels int, wl string, policy ftl.Victim
 		Frontier:      wc.frontier,
 		WearAware:     wc.wearAware,
 		Channels:      channels,
-		Writes:        win.writes,
+		Writes:        win.ops.LogicalWrites,
 		HotWrites:     win.ops.HotWrites,
 		WA:            win.wa,
 		UserWA:        win.userWA,
